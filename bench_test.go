@@ -571,94 +571,20 @@ func BenchmarkNanosleepChurn(b *testing.B) {
 }
 
 // BenchmarkSimulator measures raw simulation speed: guest instructions
-// executed per host second for a compute-bound workload.
+// executed per host second for a compute-bound workload. sim-cycles pins
+// the run, so the headline row is covered by the ledger's drift check.
 func BenchmarkSimulator(b *testing.B) {
 	w, _ := workload.ByName("auto-basicmath")
-	var insts uint64
+	var insts, cycles uint64
 	for i := 0; i < b.N; i++ {
 		m, err := workload.Run(w, workload.BuildOptions{ABI: cheriabi.ABICheri}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		insts = m.Instructions
+		insts, cycles = m.Instructions, m.Cycles
 	}
 	b.SetBytes(int64(insts)) // bytes/s stands in for guest instructions/s
-}
-
-// BenchmarkThreadedDispatch ablates the block-threaded execution engine:
-// the same workload with straight-line runs executed inside runBlock
-// versus one Step per instruction (decode cache enabled in both modes).
-// Guest-visible results are bit-identical (TestDifferentialMatrix); only
-// host throughput changes. MB/s stands in for guest instructions/s.
-func BenchmarkThreadedDispatch(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			w, _ := workload.ByName("auto-basicmath")
-			var insts, cycles uint64
-			for i := 0; i < b.N; i++ {
-				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:                     cheriabi.ABICheri,
-					DisableThreadedDispatch: mode.disable,
-				}, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = m.Instructions, m.Cycles
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
-}
-
-// BenchmarkSuperblocks ablates superblock chaining on a program whose
-// loop body straddles several code pages, so every iteration crosses
-// page boundaries in both directions: with chaining the threaded engine
-// follows the crossings block-to-block; without it every crossing exits
-// to Step. Guest-visible results are bit-identical (the differential
-// matrix runs the same straddle program); only host throughput changes.
-// MB/s stands in for guest instructions/s.
-func BenchmarkSuperblocks(b *testing.B) {
-	img, _, err := cheriabi.Compile(cheriabi.CompileOptions{
-		Name: "straddle", ABI: cheriabi.ABICheri,
-	}, straddleSrc())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts, cycles, chains uint64
-			for i := 0; i < b.N; i++ {
-				sys := cheriabi.NewSystem(cheriabi.Config{
-					MemBytes:           128 << 20,
-					DisableSuperblocks: mode.disable,
-				})
-				res, err := sys.RunImage(img, "straddle")
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = res.Stats.Instructions, res.Stats.Cycles
-				chains = sys.DecodeCacheStats().Chains
-			}
-			if !mode.disable && chains == 0 {
-				b.Fatal("straddle workload never chained; the ablation is vacuous")
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
+	b.ReportMetric(float64(cycles), "sim-cycles")
 }
 
 // indirectSrc builds a call/return-dense program: a chain of tiny
@@ -678,13 +604,12 @@ func indirectSrc() string {
 	return b.String()
 }
 
-// BenchmarkIndirectTransfer ablates the indirect-transfer target cache on
-// a call/return-dense CheriABI program: with the cache the threaded
-// engine serves every repeated CJR/CJALR from a cached capability proof;
-// without it every transfer exits to Step for a full latch rebuild.
-// Guest-visible results are bit-identical (the differential matrix runs
-// the same ablation); only host throughput changes. MB/s stands in for
-// guest instructions/s.
+// BenchmarkIndirectTransfer measures the engine on a call/return-dense
+// CheriABI program, where indirect-transfer prediction serves every
+// repeated CJR/CJALR from a cached capability proof. Guest-visible results
+// match the Reference machine (the differential matrix runs a call-heavy
+// case both ways). MB/s stands in for guest instructions/s. The single
+// mode keeps its "on" name so its ledger row stays comparable.
 func BenchmarkIndirectTransfer(b *testing.B) {
 	img, _, err := cheriabi.Compile(cheriabi.CompileOptions{
 		Name: "calls", ABI: cheriabi.ABICheri,
@@ -692,37 +617,23 @@ func BenchmarkIndirectTransfer(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"on", false},
-		{"off", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts, cycles, hits uint64
-			for i := 0; i < b.N; i++ {
-				sys := cheriabi.NewSystem(cheriabi.Config{
-					MemBytes:             128 << 20,
-					DisableIndirectCache: mode.disable,
-				})
-				res, err := sys.RunImage(img, "calls")
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts, cycles = res.Stats.Instructions, res.Stats.Cycles
-				hits = sys.DecodeCacheStats().IndirectHits
+	b.Run("on", func(b *testing.B) {
+		var insts, cycles, hits uint64
+		for i := 0; i < b.N; i++ {
+			sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20})
+			res, err := sys.RunImage(img, "calls")
+			if err != nil {
+				b.Fatal(err)
 			}
-			if !mode.disable && hits == 0 {
-				b.Fatal("call workload never hit the indirect cache; the ablation is vacuous")
-			}
-			if mode.disable && hits != 0 {
-				b.Fatal("indirect cache hit while disabled")
-			}
-			b.SetBytes(int64(insts))
-			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes
-		})
-	}
+			insts, cycles = res.Stats.Instructions, res.Stats.Cycles
+			hits = sys.DecodeCacheStats().IndirectHits
+		}
+		if hits == 0 {
+			b.Fatal("call workload never hit the indirect cache; the benchmark is vacuous")
+		}
+		b.SetBytes(int64(insts))
+		b.ReportMetric(float64(cycles), "sim-cycles")
+	})
 }
 
 // BenchmarkMiniCCompile measures the MiniC compiler end to end (lex,
@@ -779,30 +690,38 @@ func BenchmarkParallelDriver(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeCache ablates the simulator's decoded-instruction cache:
-// the same workload with the fetch fast path enabled and disabled. The
-// guest-visible results are bit-identical (TestDecodeCacheDifferential);
-// only host throughput changes. MB/s stands in for guest instructions/s.
+// BenchmarkDecodeCache ablates the whole simulator engine: the same
+// workload run as workload.Run runs it, on the engine ("on") and on the
+// Reference machine ("off": uncached Step, byte-at-a-time uaccess). The
+// guest-visible results are bit-identical (TestDifferentialMatrix); only
+// host throughput changes. MB/s stands in for guest instructions/s.
 func BenchmarkDecodeCache(b *testing.B) {
+	w, _ := workload.ByName("auto-basicmath")
+	exe, libs, err := workload.Build(w, workload.BuildOptions{ABI: cheriabi.ABICheri})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, mode := range []struct {
-		name    string
-		disable bool
+		name      string
+		reference bool
 	}{
 		{"on", false},
 		{"off", true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			w, _ := workload.ByName("auto-basicmath")
 			var insts, cycles uint64
 			for i := 0; i < b.N; i++ {
-				m, err := workload.Run(w, workload.BuildOptions{
-					ABI:                cheriabi.ABICheri,
-					DisableDecodeCache: mode.disable,
-				}, 1)
+				sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: 128 << 20, Seed: 1, Reference: mode.reference})
+				for _, lib := range libs {
+					if _, err := sys.Install(lib); err != nil {
+						b.Fatal(err)
+					}
+				}
+				res, err := sys.RunImage(exe, append([]string{w.Name}, w.Args...)...)
 				if err != nil {
 					b.Fatal(err)
 				}
-				insts, cycles = m.Instructions, m.Cycles
+				insts, cycles = res.Stats.Instructions, res.Stats.Cycles
 			}
 			b.SetBytes(int64(insts))
 			b.ReportMetric(float64(cycles), "sim-cycles") // must match across modes

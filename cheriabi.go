@@ -116,36 +116,13 @@ type Config struct {
 	Tracer cpu.CapTracer
 	// OnCapCreate observes kernel/linker/allocator-created capabilities.
 	OnCapCreate func(label string, c cap.Capability)
-	// DisableDecodeCache turns off the simulator's decoded-instruction
-	// cache. Results are bit-identical either way (the differential
-	// determinism suite enforces this); the knob exists for the ablation
-	// benchmarks and as a safety hatch.
-	DisableDecodeCache bool
-	// DisableThreadedDispatch turns off the simulator's block-threaded
-	// execution engine, falling back to one Step per instruction. Results
-	// are bit-identical either way (the differential determinism suite
-	// runs the full {decode cache, threaded dispatch, bulk fast path}
-	// matrix); the knob exists for the ablation benchmarks and as a
-	// safety hatch.
-	DisableThreadedDispatch bool
-	// DisableSuperblocks turns off superblock chaining: the threaded
-	// engine then exits at every page boundary instead of following
-	// direct branches and fallthrough block-to-block. Results are
-	// bit-identical either way (same matrix); the knob exists for the
-	// ablation benchmarks and as a safety hatch.
-	DisableSuperblocks bool
-	// DisableIndirectCache turns off the indirect-transfer target cache
-	// and return-stack latch: every CJR/CJALR then exits the threaded
-	// engine to the Step slow path instead of being served from a cached
-	// capability proof. Results are bit-identical either way (same
-	// matrix); the knob exists for the ablation benchmarks and as a
-	// safety hatch.
-	DisableIndirectCache bool
-	// DisableBulkFastPath forces byte-at-a-time movement in the uaccess
-	// subsystem's kernel/runtime bulk copies. Results are bit-identical
-	// either way (same matrix); the knob exists for the ablation
-	// benchmarks and as a safety hatch.
-	DisableBulkFastPath bool
+	// Reference runs the simulator's reference machine: the uncached Step
+	// interpreter and byte-at-a-time uaccess copies, with the decode
+	// cache, threaded engine, indirect-transfer prediction, and bulk-copy
+	// fast path all off. Results are bit-identical either way (the
+	// differential determinism suite compares the two); the switch exists
+	// so tests can check the fast engine against the reference.
+	Reference bool
 	// OnTrap observes every trap the CPU delivers, in program order
 	// (used by the differential determinism suite).
 	OnTrap func(*cpu.Trap)
@@ -165,18 +142,14 @@ func NewSystem(cfg Config) *System {
 		format = cap.Format256
 	}
 	m := kernel.NewMachine(kernel.Config{
-		MemBytes:                cfg.MemBytes,
-		Format:                  format,
-		Seed:                    cfg.Seed,
-		UrandomSeed:             cfg.UrandomSeed,
-		Console:                 cfg.Console,
-		Tracer:                  cfg.Tracer,
-		DisableDecodeCache:      cfg.DisableDecodeCache,
-		DisableThreadedDispatch: cfg.DisableThreadedDispatch,
-		DisableSuperblocks:      cfg.DisableSuperblocks,
-		DisableIndirectCache:    cfg.DisableIndirectCache,
-		DisableBulkFastPath:     cfg.DisableBulkFastPath,
-		OnTrap:                  cfg.OnTrap,
+		MemBytes:    cfg.MemBytes,
+		Format:      format,
+		Seed:        cfg.Seed,
+		UrandomSeed: cfg.UrandomSeed,
+		Console:     cfg.Console,
+		Tracer:      cfg.Tracer,
+		Reference:   cfg.Reference,
+		OnTrap:      cfg.OnTrap,
 	})
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
@@ -199,8 +172,8 @@ type Snapshot struct {
 // quiescent: freshly booted, or with every spawned process run to
 // completion and reaped. A cloned boot from a Seed-0 template is
 // bit-identical to a cold NewSystem boot with the clone's Config — the
-// differential suite's TestSnapshotCloneDifferential enforces this across
-// the full {decode cache, threaded dispatch, bulk copy} matrix.
+// differential suite's TestSnapshotCloneDifferential enforces this for
+// both the fast engine and the Reference machine.
 func (s *System) Snapshot() (*Snapshot, error) {
 	ms, err := s.Machine.Snapshot()
 	if err != nil {
@@ -211,20 +184,16 @@ func (s *System) Snapshot() (*Snapshot, error) {
 
 // Clone boots a fresh System from the snapshot. cfg.MemBytes and
 // cfg.Cap256 are fixed by the snapshot and ignored; the seed, urandom,
-// console, tracers, ablation knobs, and trap observer apply to the clone
+// console, tracers, Reference switch, and trap observer apply to the clone
 // exactly as they would to NewSystem.
 func (s *Snapshot) Clone(cfg Config) *System {
 	m := s.ms.Boot(kernel.Config{
-		Seed:                    cfg.Seed,
-		UrandomSeed:             cfg.UrandomSeed,
-		Console:                 cfg.Console,
-		Tracer:                  cfg.Tracer,
-		DisableDecodeCache:      cfg.DisableDecodeCache,
-		DisableThreadedDispatch: cfg.DisableThreadedDispatch,
-		DisableSuperblocks:      cfg.DisableSuperblocks,
-		DisableIndirectCache:    cfg.DisableIndirectCache,
-		DisableBulkFastPath:     cfg.DisableBulkFastPath,
-		OnTrap:                  cfg.OnTrap,
+		Seed:        cfg.Seed,
+		UrandomSeed: cfg.UrandomSeed,
+		Console:     cfg.Console,
+		Tracer:      cfg.Tracer,
+		Reference:   cfg.Reference,
+		OnTrap:      cfg.OnTrap,
 	})
 	if cfg.OnCapCreate != nil {
 		m.Kern.OnCapCreate = cfg.OnCapCreate
@@ -312,11 +281,9 @@ func deltaStats(a, b Stats) Stats {
 // L2Misses returns the machine's cumulative L2 miss count.
 func (s *System) L2Misses() uint64 { return s.Machine.Hier.L2.Stats().Misses }
 
-// DecodeCacheStats reports the simulator's decoded-instruction-cache
-// event counts (non-architectural). With the cache disabled, Hits,
-// Misses, and Decodes stay zero; every fetch instead counts in Disabled
-// (so ablation reports never conflate "cache off" with "latch invalid"),
-// and Flushes still counts every explicit sync.
+// DecodeCacheStats reports the simulator's decode-cache and
+// threaded-engine event counts (non-architectural). On the Reference
+// machine every count but Flushes stays zero.
 func (s *System) DecodeCacheStats() cpu.DecodeStats { return s.Machine.CPU.DecodeStats }
 
 // InstSize is the size of one instruction, exported for code-size metrics.

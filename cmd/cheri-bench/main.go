@@ -12,14 +12,19 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"cheriabi/internal/driver"
 	"cheriabi/internal/testsuite"
 	"cheriabi/internal/workload"
 )
 
+// experiments lists the -experiment values, in run order.
+var experiments = []string{"fig4", "table1", "syscall", "initdb", "clc", "all"}
+
 func main() {
-	experiment := flag.String("experiment", "all", "fig4|table1|syscall|initdb|clc|all")
+	experiment := flag.String("experiment", "all", strings.Join(experiments, "|"))
 	seeds := flag.Int("seeds", 3, "number of layout seeds per measurement")
 	workersFlag := flag.Int("workers", runtime.GOMAXPROCS(0),
 		"parallel evaluation workers (the default auto-calibrates to host parallelism and the sweep size)")
@@ -28,6 +33,15 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	flag.Parse()
+	if !slices.Contains(experiments, *experiment) {
+		fmt.Fprintf(os.Stderr, "cheri-bench: unknown -experiment %q (want %s)\n",
+			*experiment, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "cheri-bench: -seeds must be a positive integer, got %d\n", *seeds)
+		os.Exit(2)
+	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

@@ -12,7 +12,7 @@ import (
 	"fmt"
 	"os"
 
-	"cheriabi"
+	"cheriabi/internal/image"
 	"cheriabi/internal/kernel"
 	"cheriabi/internal/workload"
 )
@@ -26,14 +26,9 @@ func main() {
 	abiFlag := flag.String("abi", "cheriabi", "guest ABI: mips64 or cheriabi")
 	flag.Parse()
 
-	var abi cheriabi.ABI
-	switch *abiFlag {
-	case "mips64":
-		abi = cheriabi.ABILegacy
-	case "cheriabi":
-		abi = cheriabi.ABICheri
-	default:
-		fmt.Fprintf(os.Stderr, "cheri-load: unknown ABI %q (want mips64 or cheriabi)\n", *abiFlag)
+	abi, err := image.ParseABI(*abiFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cheri-load:", err)
 		os.Exit(2)
 	}
 

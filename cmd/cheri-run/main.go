@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"cheriabi"
+	"cheriabi/internal/image"
 	"cheriabi/internal/workload"
 )
 
@@ -46,9 +47,10 @@ func main() {
 		return
 	}
 
-	abi := cheriabi.ABICheri
-	if *abiFlag == "mips64" {
-		abi = cheriabi.ABILegacy
+	abi, err := image.ParseABI(*abiFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cheri-run:", err)
+		os.Exit(2)
 	}
 
 	var img *cheriabi.Image
@@ -62,7 +64,6 @@ func main() {
 				*wlName, strings.Join(workloadNames(), ", "))
 			os.Exit(2)
 		}
-		var err error
 		img, libs, err = workload.Build(w, workload.BuildOptions{ABI: abi, ASan: *asan})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cheri-run:", err)
@@ -101,7 +102,6 @@ func main() {
 	// knob, so one snapshot serves every run).
 	var snap *cheriabi.Snapshot
 	if *runs > 1 && *snapshot {
-		var err error
 		snap, err = cheriabi.NewSystem(cheriabi.Config{}).Snapshot()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cheri-run:", err)

@@ -1,14 +1,14 @@
 // Differential determinism suite: every benchmark, test-suite, and bodiag
-// program is run under all ten simulator fast-path configurations —
-// {decoded-instruction cache, block-threaded dispatch, superblock
-// chaining, uaccess bulk-copy fast path} — and must
-// produce bit-identical architectural results: Stats (instructions,
-// cycles, loads/stores, branches, syscalls), program output, exit status,
-// L2 miss counts, and the exact sequence of traps the CPU delivered. This
-// is the proof obligation for the fast paths: cycle counts and fault
-// behaviour are this repository's *results* (Figure 4, Tables 1–3), so a
-// simulator optimisation must be observation-equivalent, not just "mostly
-// right".
+// program runs on the simulator's fast engine (decoded-instruction cache,
+// block-threaded dispatch, indirect-transfer prediction, uaccess bulk
+// copies) and on its Reference machine (the uncached Step interpreter
+// with byte-at-a-time uaccess), and the two must produce bit-identical
+// architectural results: Stats (instructions, cycles, loads/stores,
+// branches, syscalls), program output, exit status, L2 miss counts, and
+// the exact sequence of traps the CPU delivered. This is the proof
+// obligation for the fast paths: cycle counts and fault behaviour are
+// this repository's *results* (Figure 4, Tables 1–3), so a simulator
+// optimisation must be observation-equivalent, not just "mostly right".
 package cheriabi_test
 
 import (
@@ -27,43 +27,15 @@ import (
 	"cheriabi/internal/workload"
 )
 
-// simConfig is one simulator fast-path configuration.
+// simConfig is one simulator configuration: the fast engine, or the
+// Reference machine every result is checked against.
 type simConfig struct {
-	name     string
-	decode   bool // decoded-instruction cache enabled
-	threaded bool // block-threaded dispatch enabled
-	super    bool // superblock chaining enabled (needs decode+threaded)
-	indirect bool // indirect-transfer target cache enabled (needs threaded)
-	bulk     bool // uaccess bulk-copy fast path enabled
+	name      string
+	reference bool
 }
 
-// simConfigs is the full ablation matrix: {decode cache, threaded
-// dispatch} crossed with the uaccess bulk-copy fast path. Threaded
-// dispatch executes out of decoded blocks, so threaded-without-cache
-// degenerates to the plain interpreter — it is still exercised to prove
-// the degenerate path is sound. The superblock and indirect-transfer
-// dimensions are each ablated separately against the all-on threaded
-// configuration. The first entry (everything off) is the reference
-// byte-at-a-time interpreter every other configuration must be
-// indistinguishable from.
-var simConfigs = func() []simConfig {
-	base := []simConfig{
-		{"plain", false, false, false, false, false},
-		{"cache", true, false, false, false, false},
-		{"cache+threaded", true, true, true, true, false},
-		{"cache+threaded-nosuper", true, true, false, true, false},
-		{"cache+threaded-noindirect", true, true, true, false, false},
-		{"threaded-sans-cache", false, true, false, false, false},
-	}
-	out := make([]simConfig, 0, 2*len(base))
-	for _, c := range base {
-		fast := c
-		fast.name += "+bulkcopy"
-		fast.bulk = true
-		out = append(out, c, fast)
-	}
-	return out
-}()
+// simConfigs lists the reference first: compare runs it as the baseline.
+var simConfigs = []simConfig{{"reference", true}, {"engine", false}}
 
 // diffCase is one program to run under every simulator configuration.
 type diffCase struct {
@@ -76,19 +48,11 @@ type diffCase struct {
 	// they are allowed to die on a signal or exit non-zero, and the
 	// differential comparison of that outcome is exactly the test.
 	mayTrap bool
-	// chains marks programs whose code provably straddles page boundaries
-	// on the hot path, so superblock configurations must actually chain
-	// (the vacuousness check for the superblock dimension). Most guest
-	// programs compile into one or two code pages with every cross-page
-	// transfer a CJR/CJALR, which by design exits the block instead of
-	// chaining, so the positive check is opt-in per case.
-	chains bool
 	// indirects marks programs whose hot path provably repeats CJR/CJALR
-	// transfers under threaded dispatch, so indirect-cache configurations
-	// must actually hit (the vacuousness check for the indirect-transfer
-	// dimension). Only CheriABI code issues capability jumps — the legacy
-	// ABI calls through integer JR/JALR — so the positive check is opt-in
-	// per case like chains.
+	// transfers, so the engine's indirect-transfer cache must actually hit
+	// (the vacuousness check for indirect-transfer prediction). Only
+	// CheriABI code issues capability jumps — the legacy ABI calls through
+	// integer JR/JALR — so the positive check is opt-in per case.
 	indirects bool
 }
 
@@ -103,16 +67,12 @@ type diffRecord struct {
 	trapHash uint64 // FNV-1a over the rendered trap sequence
 }
 
-// diffConfig is the machine Config for one fast-path configuration; the
+// diffConfig is the machine Config for one simulator configuration; the
 // trap observer feeds the (traps, hash) cells of the returned record.
 func diffConfig(cfg simConfig, traps *uint64, h io.Writer) cheriabi.Config {
 	return cheriabi.Config{
-		MemBytes:                128 << 20,
-		DisableDecodeCache:      !cfg.decode,
-		DisableThreadedDispatch: !cfg.threaded,
-		DisableSuperblocks:      !cfg.super,
-		DisableIndirectCache:    !cfg.indirect,
-		DisableBulkFastPath:     !cfg.bulk,
+		MemBytes:  128 << 20,
+		Reference: cfg.reference,
 		OnTrap: func(tr *cpu.Trap) {
 			*traps++
 			io.WriteString(h, tr.Error())
@@ -121,7 +81,7 @@ func diffConfig(cfg simConfig, traps *uint64, h io.Writer) cheriabi.Config {
 }
 
 // runCase executes one case on a cold-booted machine with the given
-// fast-path configuration, recording the full trap sequence through the
+// simulator configuration, recording the full trap sequence through the
 // OnTrap hook.
 func runCase(t *testing.T, tc diffCase, cfg simConfig) diffRecord {
 	t.Helper()
@@ -159,36 +119,21 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, cfg simConfig, t
 		t.Fatalf("%s (%s): %v", tc.name, cfg.name, err)
 	}
 	ds := sys.DecodeCacheStats()
-	if cfg.decode && ds.Hits == 0 {
-		t.Fatalf("%s: decode cache never hit; the differential run is vacuous", tc.name)
-	}
-	if !cfg.decode && ds.Hits != 0 {
-		t.Fatalf("%s: decode cache hit while disabled", tc.name)
-	}
-	if cfg.decode && cfg.threaded && ds.Threaded == 0 {
-		t.Fatalf("%s: threaded dispatch never ran; the differential run is vacuous", tc.name)
-	}
-	if !(cfg.decode && cfg.threaded) && ds.Threaded != 0 {
-		t.Fatalf("%s: threaded dispatch ran while disabled (%+v)", tc.name, ds)
-	}
-	if cfg.super && tc.chains && ds.Chains == 0 {
-		t.Fatalf("%s: superblock chaining never ran; the differential run is vacuous", tc.name)
-	}
-	if !cfg.super && ds.Chains != 0 {
-		t.Fatalf("%s: superblock chaining ran while disabled (%+v)", tc.name, ds)
-	}
-	if cfg.indirect && tc.indirects && ds.IndirectHits == 0 {
-		t.Fatalf("%s: indirect-transfer cache never hit; the differential run is vacuous", tc.name)
-	}
-	if !cfg.indirect && ds.IndirectHits != 0 {
-		t.Fatalf("%s: indirect-transfer cache hit while disabled (%+v)", tc.name, ds)
-	}
 	us := sys.Machine.UA.Stats
-	if cfg.bulk && us.SlowRuns != 0 {
-		t.Fatalf("%s: uaccess slow path ran with the bulk fast path enabled (%+v)", tc.name, us)
-	}
-	if !cfg.bulk && us.FastRuns != 0 {
-		t.Fatalf("%s: uaccess bulk fast path ran while disabled (%+v)", tc.name, us)
+	if cfg.reference {
+		if ds.Threaded != 0 || ds.Decodes != 0 || ds.IndirectHits != 0 || us.FastRuns != 0 {
+			t.Fatalf("%s: the Reference machine used a fast path (%+v, %+v)", tc.name, ds, us)
+		}
+	} else {
+		if ds.Threaded == 0 {
+			t.Fatalf("%s: threaded dispatch never ran; the differential run is vacuous", tc.name)
+		}
+		if tc.indirects && ds.IndirectHits == 0 {
+			t.Fatalf("%s: indirect-transfer cache never hit; the differential run is vacuous", tc.name)
+		}
+		if us.SlowRuns != 0 {
+			t.Fatalf("%s: uaccess slow path ran on the engine (%+v)", tc.name, us)
+		}
 	}
 	return diffRecord{
 		exit:     res.ExitCode,
@@ -201,8 +146,8 @@ func runCaseOn(t *testing.T, sys *cheriabi.System, tc diffCase, cfg simConfig, t
 	}
 }
 
-// compare runs tc under every configuration and requires each to be
-// indistinguishable from the plain interpreter.
+// compare runs tc on the Reference machine and the engine and requires
+// the two to be indistinguishable.
 func compare(t *testing.T, tc diffCase) {
 	t.Helper()
 	base := runCase(t, tc, simConfigs[0])
@@ -210,25 +155,23 @@ func compare(t *testing.T, tc diffCase) {
 		// Not a differential failure, but a corpus bug worth surfacing.
 		t.Fatalf("baseline run misbehaved: exit=%d signal=%d output=%q", base.exit, base.signal, base.output)
 	}
-	for _, cfg := range simConfigs[1:] {
-		got := runCase(t, tc, cfg)
-		if got.stats != base.stats {
-			t.Errorf("%s: Stats diverged:\n %s: %+v\nplain: %+v", cfg.name, cfg.name, got.stats, base.stats)
-		}
-		if got.output != base.output {
-			t.Errorf("%s: output diverged:\n %s: %q\nplain: %q", cfg.name, cfg.name, got.output, base.output)
-		}
-		if got.exit != base.exit || got.signal != base.signal {
-			t.Errorf("%s: termination diverged: %s exit=%d sig=%d, plain exit=%d sig=%d",
-				cfg.name, cfg.name, got.exit, got.signal, base.exit, base.signal)
-		}
-		if got.traps != base.traps || got.trapHash != base.trapHash {
-			t.Errorf("%s: trap sequence diverged: %s %d traps (hash %x), plain %d traps (hash %x)",
-				cfg.name, cfg.name, got.traps, got.trapHash, base.traps, base.trapHash)
-		}
-		if got.l2Misses != base.l2Misses {
-			t.Errorf("%s: L2 misses diverged: %s %d, plain %d", cfg.name, cfg.name, got.l2Misses, base.l2Misses)
-		}
+	got := runCase(t, tc, simConfigs[1])
+	if got.stats != base.stats {
+		t.Errorf("Stats diverged:\n   engine: %+v\nreference: %+v", got.stats, base.stats)
+	}
+	if got.output != base.output {
+		t.Errorf("output diverged:\n   engine: %q\nreference: %q", got.output, base.output)
+	}
+	if got.exit != base.exit || got.signal != base.signal {
+		t.Errorf("termination diverged: engine exit=%d sig=%d, reference exit=%d sig=%d",
+			got.exit, got.signal, base.exit, base.signal)
+	}
+	if got.traps != base.traps || got.trapHash != base.trapHash {
+		t.Errorf("trap sequence diverged: engine %d traps (hash %x), reference %d traps (hash %x)",
+			got.traps, got.trapHash, base.traps, base.trapHash)
+	}
+	if got.l2Misses != base.l2Misses {
+		t.Errorf("L2 misses diverged: engine %d, reference %d", got.l2Misses, base.l2Misses)
 	}
 }
 
@@ -259,16 +202,13 @@ func corpus(short bool) []diffCase {
 	}
 	// A synthetic case whose main loop body spans several code pages: the
 	// backward loop branch and the straight-line fallthrough both cross
-	// page boundaries on every iteration, so the superblock configurations
-	// must chain (and are checked to, via diffCase.chains) under both ABIs
-	// and both directions, with a helper call (CJR exit) breaking the chain
-	// mid-loop.
+	// page boundaries on every iteration, under both ABIs and in both
+	// directions, with a helper call breaking the straight line mid-loop.
 	for _, a := range diffABIs {
 		out = append(out, diffCase{
-			name:   fmt.Sprintf("superblock-straddle-%s", a.label),
-			src:    straddleSrc(),
-			abi:    a.abi,
-			chains: true,
+			name: fmt.Sprintf("page-straddle-%s", a.label),
+			src:  straddleSrc(),
+			abi:  a.abi,
 			// The straddle loop calls a helper every iteration; under
 			// CheriABI those calls and returns are CJR/CJALR, so the
 			// indirect-transfer cache must serve repeats.
@@ -347,9 +287,8 @@ func bodiagCorpus(short bool) []diffCase {
 }
 
 // TestDifferentialMatrix is the determinism gate for the workload and
-// test-suite corpora: every fast-path configuration in the
-// {decode cache × threaded dispatch × superblocks × bulk copy} matrix
-// must be indistinguishable across every program and both ABIs.
+// test-suite corpora: the engine must be indistinguishable from the
+// Reference machine across every program and both ABIs.
 func TestDifferentialMatrix(t *testing.T) {
 	for _, tc := range corpus(testing.Short()) {
 		tc := tc
@@ -359,8 +298,8 @@ func TestDifferentialMatrix(t *testing.T) {
 
 // TestBodiagDifferential extends the determinism gate to the bodiag
 // corpus: buffer-overflow programs that fault on purpose, so the exact
-// trap kind, trap sequence, and termination signal are compared across
-// every configuration (an optimisation that altered *where or how* a
+// trap kind, trap sequence, and termination signal are compared between
+// the engine and the Reference machine (an optimisation that altered *where or how* a
 // violation traps would corrupt Table 3).
 func TestBodiagDifferential(t *testing.T) {
 	for _, tc := range bodiagCorpus(testing.Short()) {
@@ -372,11 +311,9 @@ func TestBodiagDifferential(t *testing.T) {
 // TestSnapshotCloneDifferential is the determinism gate for machine
 // snapshot/clone: for each case, a machine cloned from a shared post-boot
 // snapshot must be bit-identical — output, Stats, termination, trap
-// sequence, L2 misses — to a cold NewSystem boot, under every fast-path
-// configuration in the {decode cache × threaded dispatch × superblocks
-// × bulk copy} matrix. One plain-boot template serves all ten
-// configurations: the
-// knobs, like the seed, are clone-time Config fields. The corpora are the
+// sequence, L2 misses — to a cold Reference boot, on both the engine and
+// the Reference machine. One template serves both: Reference, like the
+// seed, is a clone-time Config field. The corpora are the
 // short workload + test-suite and bodiag sets under both ABIs (strided
 // further in -short mode).
 func TestSnapshotCloneDifferential(t *testing.T) {
@@ -403,7 +340,7 @@ func TestSnapshotCloneDifferential(t *testing.T) {
 	for i := 0; i < len(cases); i += stride {
 		tc := cases[i]
 		t.Run(tc.name, func(t *testing.T) {
-			cold := runCase(t, tc, simConfigs[0])
+			cold := runCase(t, tc, simConfigs[0]) // the Reference machine
 			for _, cfg := range simConfigs {
 				h := fnv.New64a()
 				var traps uint64

@@ -148,7 +148,7 @@ int main() {
 
 // TestPosixInetWorkload runs the single-machine AF_INET workload under
 // both ABIs: same checks, same output (the differential matrix extends
-// this to the full fast-path configuration grid).
+// this to the engine-against-Reference comparison).
 func TestPosixInetWorkload(t *testing.T) {
 	w, ok := workload.ByName("posix-inet")
 	if !ok {

@@ -110,39 +110,17 @@ type CPU struct {
 	Tracer CapTracer
 
 	// OnTrap observes every trap Run surfaces, in order. The differential
-	// determinism suite uses it to prove the decoded-instruction cache
-	// preserves trap sequences exactly.
+	// determinism suite uses it to prove the engine preserves trap
+	// sequences exactly.
 	OnTrap func(*Trap)
 
-	// NoDecodeCache disables the decoded-instruction cache and its fetch
-	// fast path; every Step then performs the full check/translate/decode
-	// sequence. Behaviour is identical either way (the differential tests
-	// enforce this); the knob exists for ablation and as a safety hatch.
-	NoDecodeCache bool
-
-	// NoThreadedDispatch disables the block-threaded execution engine
-	// (threaded.go), which executes straight-line runs of decoded
-	// instructions without returning to the Step loop. Behaviour is
-	// identical either way; the knob exists for ablation and as a safety
-	// hatch. Threaded dispatch also requires the decode cache, so setting
-	// NoDecodeCache disables it implicitly.
-	NoThreadedDispatch bool
-
-	// NoSuperblocks disables superblock chaining: the threaded engine then
-	// exits at every page boundary instead of following direct branches and
-	// fallthrough block-to-block (threaded.go). Behaviour is identical
-	// either way; the knob exists for ablation and as a safety hatch.
-	// Chaining also requires threaded dispatch, so either knob above
-	// disables it implicitly.
-	NoSuperblocks bool
-
-	// NoIndirectCache disables the indirect-transfer target cache and the
-	// return-prediction stack (indirect.go): CJR/CJALR then exit the
-	// threaded engine and re-prove through the Step latch rebuild, as
-	// before. Behaviour is identical either way; the knob exists for
-	// ablation and as a safety hatch. The cache is only consulted inside
-	// the threaded engine, so either knob above disables it implicitly.
-	NoIndirectCache bool
+	// Reference runs the reference machine: every instruction goes through
+	// Step's checked fetch (PCC check, translation, isa.Decode), with no
+	// decoded-instruction cache, block-threaded engine, or indirect-transfer
+	// prediction. Results are bit-identical either way (the differential
+	// suites enforce this); the switch exists so tests can compare the
+	// engine against the reference.
+	Reference bool
 
 	Stats Stats
 
@@ -157,12 +135,10 @@ type CPU struct {
 	tlb [dtlbSize]tlbEntry
 
 	// Decoded-instruction cache (see decode.go): per-physical-page decoded
-	// blocks plus the fast-path latch for the page PC is executing from,
-	// fronted by a small direct-mapped block index so the hot path
-	// (superblock chaining, latch refills) skips the map lookup.
-	decoded  map[uint64]*instPage
-	latch    fetchLatch
-	blockIdx [blockIdxSize]blockIdxEnt
+	// blocks plus the threaded engine's latch for the page PC is executing
+	// from.
+	decoded map[uint64]*instPage
+	latch   fetchLatch
 
 	// Indirect-transfer prediction (see indirect.go): the direct-mapped
 	// target cache of validated CJR/CJALR transfers, and the return stack
@@ -177,14 +153,6 @@ type CPU struct {
 	// stores (wframe), holding the translated page's backing arrays.
 	rframe dataFrame
 	wframe dataFrame
-}
-
-// blockIdxSize is the number of direct-mapped block-index entries.
-const blockIdxSize = 64
-
-type blockIdxEnt struct {
-	paPage uint64
-	page   *instPage
 }
 
 // dtlbSize is the number of direct-mapped micro-TLB entries (per-page,
@@ -276,22 +244,21 @@ func (c *CPU) capTrap(in isa.Inst, err error) *Trap {
 // Run executes until a trap occurs or max instructions retire (0 = no
 // limit). It returns the trap, or nil if the instruction budget expired.
 //
-// When the decoded-instruction cache and threaded dispatch are enabled,
-// Run alternates between the block-threaded engine (runBlock, which
-// executes straight-line runs of decoded instructions) and single Steps
-// (which handle everything the block engine exits for: page crossings,
-// PCC changes, invalidations, misaligned PCs, and cold pages). The two
-// interleavings retire the same instructions in the same order and charge
-// the same cycles; the differential determinism suite enforces this.
+// Unless Reference is set, Run alternates between the block-threaded
+// engine (runBlock, which executes straight-line runs of decoded
+// instructions) and single Steps (which handle everything the block
+// engine exits for: page crossings, unpredicted PCC changes,
+// invalidations, misaligned PCs, and cold pages). Both machines retire
+// the same instructions in the same order and charge the same cycles; the
+// differential determinism suite enforces this.
 func (c *CPU) Run(max uint64) *Trap {
 	start := c.Stats.Instructions
-	threaded := !c.NoDecodeCache && !c.NoThreadedDispatch
 	for {
 		done := c.Stats.Instructions - start
 		if max != 0 && done >= max {
 			return nil
 		}
-		if threaded {
+		if !c.Reference {
 			var rem uint64
 			if max != 0 {
 				rem = max - done
@@ -319,7 +286,7 @@ func (c *CPU) Run(max uint64) *Trap {
 // trapping instruction; the kernel advances it after handling syscalls,
 // breaks, and native calls.
 func (c *CPU) Step() *Trap {
-	// Instruction fetch through PCC and the I-cache (fast path: decode.go).
+	// Instruction fetch through PCC and the I-cache (decode.go).
 	in, tr := c.fetchInst()
 	if tr != nil {
 		return tr

@@ -13,9 +13,10 @@ import (
 // costs that dominate simulator time — the PCC dereference check, the
 // virtual-to-physical walk, and isa.Decode — without changing anything a
 // guest can observe. On first execution of a page the whole page is
-// decoded into a block keyed by its physical page number; Step consults
-// the block directly while a set of latch conditions prove that the slow
-// path would have produced the same result:
+// decoded into a block keyed by its physical page number. Step's checked
+// fetch arms a latch on that block, and the threaded engine (threaded.go)
+// executes from the block while the latch conditions prove that the
+// checked fetch would have produced the same result:
 //
 //   - the PCC register is bit-identical to the one the latch was set
 //     under, so the (already passed) tag/seal/permission checks still
@@ -31,52 +32,19 @@ import (
 //     image loading, rtld relocation, COW copies, and swap-in — and each
 //     of those bumps the page counter.
 //
-// The I-cache cycle charge is NOT skipped: the fast path issues the same
-// cache.Hierarchy.Fetch call as the slow path, so cycle counts, miss
-// counts, and LRU state are bit-identical with the cache on or off.
+// The I-cache cycle charge is NOT skipped: the threaded engine issues the
+// same cache.Hierarchy fetches as Step, so cycle counts, miss counts, and
+// LRU state are bit-identical with the engine on or off.
 
 // instPage is one decoded physical page: PageSize/InstSize instructions
-// plus the mem write generation the decode was taken at, and the
-// superblock successor links for runs that left this page (threaded.go).
+// plus the mem write generation the decode was taken at.
 type instPage struct {
 	gen   uint64
 	insts [vm.PageSize / isa.InstSize]isa.Inst
-	links [linkWays]chainLink
 }
 
-// linkWays is the number of direct-mapped successor-link slots per decoded
-// page, indexed by the target's virtual page number. Hot code rarely
-// leaves one page for more than a few distinct successors (fallthrough
-// plus a handful of branch targets); conflicting targets just re-prove.
-const linkWays = 4
-
-// chainLink is one superblock successor edge: proof that a virtual target
-// page resolved to a particular decoded block last time control left the
-// owning page for it. A link asserts nothing about the owning page's
-// contents — it is keyed purely by target — so it survives re-decodes of
-// its owner. It is live only while every recorded condition still holds:
-//
-//   - the run executes under the same address space at the same mutation
-//     generation (lk.as, lk.asGen), so vaPage still translates to paPage
-//     with execute rights proven;
-//   - the target page's bytes are unchanged (mem.PageGen(paPage) still
-//     equals page.gen), so the decoded block mirrors memory.
-//
-// PCC validity is deliberately not recorded: the traverser re-checks the
-// target against the current PCC's bounds on every traversal (tag, seal,
-// and permissions are already proven for the whole run, since nothing
-// inside a run replaces PCC). A link that fails validation is re-proved
-// through the full translate walk or severed.
-type chainLink struct {
-	page   *instPage
-	as     *vm.AddressSpace
-	asGen  uint64
-	vaPage uint64
-	paPage uint64
-}
-
-// fetchLatch caches everything needed to prove the fast path sound for
-// the current (PCC, address space, page) triple.
+// fetchLatch caches everything needed to prove the threaded engine sound
+// for the current (PCC, address space, page) triple.
 type fetchLatch struct {
 	page   *instPage
 	as     *vm.AddressSpace
@@ -86,27 +54,24 @@ type fetchLatch struct {
 	paPage uint64 // physical page base it translates to
 }
 
-// DecodeStats counts decoded-instruction-cache events. These are simulator
-// bookkeeping, not architectural state: they are deliberately kept out of
-// Stats so runs with the cache on and off report identical Stats.
+// DecodeStats counts decode-cache and threaded-engine events. These are
+// simulator bookkeeping, not architectural state: they are deliberately
+// kept out of Stats so runs on the engine and on the reference machine
+// report identical Stats. With CPU.Reference set, everything but Flushes
+// stays zero.
 type DecodeStats struct {
-	Hits     uint64 // fast-path fetches served from a decoded block
-	Misses   uint64 // slow-path fetches with the cache enabled (latch invalid)
-	Disabled uint64 // slow-path fetches taken because NoDecodeCache is set
-	Decodes  uint64 // whole-page decodes (first touch or invalidation)
-	Flushes  uint64 // explicit SyncICache calls
+	Decodes uint64 // whole-page decodes (first touch or invalidation)
+	Flushes uint64 // explicit SyncICache calls
 
 	// Threaded counts instructions retired inside the block-threaded
-	// engine (a subset of Hits); Blocks counts the straight-line runs they
-	// were grouped into.
+	// engine; Blocks counts the straight-line runs they were grouped into.
 	Threaded uint64
 	Blocks   uint64
 
-	// Chains counts superblock link traversals (page-to-page transitions
-	// that stayed inside the threaded engine); Severs counts links dropped
-	// because re-proving the target translation faulted.
+	// Chains is always 0. It counted superblock link traversals, an
+	// engine tier that has since been removed; the field stays so
+	// existing readers of DecodeStats keep building.
 	Chains uint64
-	Severs uint64
 
 	// IndirectHits counts CJR/CJALR transfers served by the
 	// indirect-target cache or the return stack (the run stayed inside
@@ -121,20 +86,11 @@ type DecodeStats struct {
 const pageOffMask = vm.PageSize - 1
 
 // pageFor returns the decoded block for the physical page containing pa,
-// (re)decoding it if the page's bytes changed since the last decode. A
-// small direct-mapped block index in front of the map serves the hot path
-// (page-boundary crossings and chain re-proofs revisit the same few pages);
-// the map remains the backing store, so an index conflict only costs the
-// map lookup, never a re-decode.
+// (re)decoding it if the page's bytes changed since the last decode.
 func (c *CPU) pageFor(paPage uint64) *instPage {
 	gen := c.Mem.PageGen(paPage)
-	e := &c.blockIdx[(paPage>>vm.PageShift)&(blockIdxSize-1)]
-	if p := e.page; p != nil && e.paPage == paPage && p.gen == gen {
-		return p
-	}
 	p := c.decoded[paPage]
 	if p != nil && p.gen == gen {
-		e.paPage, e.page = paPage, p
 		return p
 	}
 	if p == nil {
@@ -150,7 +106,6 @@ func (c *CPU) pageFor(paPage uint64) *instPage {
 		p.insts[i] = isa.Decode(binary.LittleEndian.Uint32(raw[i*isa.InstSize:]))
 	}
 	p.gen = gen
-	e.paPage, e.page = paPage, p
 	c.DecodeStats.Decodes++
 	return p
 }
@@ -159,16 +114,12 @@ func (c *CPU) pageFor(paPage uint64) *instPage {
 // explicit instruction-cache synchronisation. The generation checks make
 // the cache self-invalidating, so this is defence in depth: the kernel
 // calls it after building a process image and the run-time linker after
-// relocation, the points where a real OS would sync the I-cache.
+// relocation, the points where a real OS would sync the I-cache. The
+// indirect-target cache and return stack hold decoded pages too, so they
+// drop with the map.
 func (c *CPU) SyncICache() {
 	c.decoded = nil
 	c.latch = fetchLatch{}
-	// The block index must drop with the map: a surviving entry would
-	// resurrect a pre-sync decoded page (and its superblock links) whose
-	// generation still matches, defeating the explicit flush. The
-	// indirect-target cache and return stack hold decoded pages too, so
-	// they drop for the same reason.
-	c.blockIdx = [blockIdxSize]blockIdxEnt{}
 	c.icache = [indirectSize]indirectEnt{}
 	c.rstack = [retStackSize]indirectEnt{}
 	c.rsp = 0
@@ -176,31 +127,10 @@ func (c *CPU) SyncICache() {
 }
 
 // fetchInst performs the instruction fetch for Step: PCC check,
-// translation, I-cache cycle charge, and decode. The fast path replaces
-// the first, second, and fourth with latch validation; the cycle charge is
-// issued identically on both paths.
+// translation, I-cache cycle charge, and decode. With the engine on
+// (Reference unset) an aligned fetch decodes through the page's block and
+// re-arms the latch, so the next runBlock can take over from the page.
 func (c *CPU) fetchInst() (isa.Inst, *Trap) {
-	l := &c.latch
-	if !c.NoDecodeCache && l.page != nil &&
-		c.PC-l.vaPage < vm.PageSize &&
-		c.AS == l.as && c.AS.Gen == l.asGen &&
-		c.PCC == l.pcc &&
-		c.PCC.InBounds(c.PC, isa.InstSize) &&
-		c.Mem.PageGen(l.paPage) == l.page.gen {
-		off := c.PC - l.vaPage
-		if off%isa.InstSize == 0 {
-			c.Stats.Cycles += c.Hier.Fetch(l.paPage+off, isa.InstSize) - 1
-			c.DecodeStats.Hits++
-			return l.page.insts[off/isa.InstSize], nil
-		}
-	}
-	if c.NoDecodeCache {
-		c.DecodeStats.Disabled++ // cache off: not a miss, the cache never ran
-	} else {
-		c.DecodeStats.Misses++
-	}
-
-	// Slow path: identical to the pre-cache fetch sequence.
 	if err := c.PCC.CheckDeref(c.PC, isa.InstSize, cap.PermExecute); err != nil {
 		return isa.Inst{}, c.capTrap(isa.Inst{}, err)
 	}
@@ -209,7 +139,7 @@ func (c *CPU) fetchInst() (isa.Inst, *Trap) {
 		return isa.Inst{}, &Trap{Kind: TrapPageFault, PC: c.PC, Page: pf}
 	}
 	c.Stats.Cycles += c.Hier.Fetch(pa, isa.InstSize) - 1 // L1I hit is pipelined
-	if c.NoDecodeCache || c.PC%isa.InstSize != 0 {
+	if c.Reference || c.PC%isa.InstSize != 0 {
 		// Misaligned PCs fetch the word at the raw address, which is not
 		// one of the page's aligned slots; decode it directly.
 		return isa.Decode(uint32(c.Mem.Load(pa, isa.InstSize))), nil

@@ -29,12 +29,12 @@ func storeWordInsts(w uint32, va uint64) []isa.Inst {
 
 // TestSelfModifyingCodeObservesNewBytes patches an instruction on a page
 // that has already been decoded (the whole page is decoded on first fetch)
-// and checks execution sees the new bytes. Run with the decode cache on
-// and off, asserting identical architectural results.
+// and checks execution sees the new bytes. Run on the engine and on the
+// Reference machine, asserting identical architectural results.
 func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
-	run := func(disable bool) (uint64, Stats) {
+	run := func(ref bool) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})
 		prog := storeWordInsts(patched, codeVA+5*isa.InstSize)
 		prog = append(prog,
@@ -51,7 +51,7 @@ func TestSelfModifyingCodeObservesNewBytes(t *testing.T) {
 		t.Fatalf("decode cache served stale instruction: r2 = %d, want 42", gotOn)
 	}
 	if gotOff != gotOn || statsOn != statsOff {
-		t.Fatalf("cache on/off diverged: on r2=%d %+v, off r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
+		t.Fatalf("engine/Reference diverged: engine r2=%d %+v, Reference r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
 	}
 }
 
@@ -170,12 +170,12 @@ func TestSyncICacheDropsBlocks(t *testing.T) {
 
 // TestMisalignedPCBypassesCache: a misaligned PC fetches the word at the
 // raw (unaligned) address, which is not one of the page's decoded slots,
-// so the fast path must step aside. Both cache modes must execute the
-// exact same straddled bytes.
+// so the fetch must step aside from the decoded block. The engine and the
+// Reference machine must execute the exact same straddled bytes.
 func TestMisalignedPCBypassesCache(t *testing.T) {
-	exec := func(disable bool) (Stats, [isa.NumRegs]uint64, TrapKind) {
+	exec := func(ref bool) (Stats, [isa.NumRegs]uint64, TrapKind) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Reference = ref
 		load(t, c, []isa.Inst{
 			{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 1},
 			{Op: isa.BREAK},
@@ -193,16 +193,17 @@ func TestMisalignedPCBypassesCache(t *testing.T) {
 	sOn, xOn, kOn := exec(false)
 	sOff, xOff, kOff := exec(true)
 	if sOn != sOff || xOn != xOff || kOn != kOff {
-		t.Fatalf("misaligned execution diverged:\n on: trap=%v %+v\noff: trap=%v %+v", kOn, sOn, kOff, sOff)
+		t.Fatalf("misaligned execution diverged:\n   engine: trap=%v %+v\nReference: trap=%v %+v", kOn, sOn, kOff, sOff)
 	}
 }
 
 // TestDecodeCacheDifferentialSmoke runs a branchy, self-patching program
-// under both cache modes and requires bit-identical Stats and registers.
+// on the engine and on the Reference machine and requires bit-identical
+// Stats and registers.
 func TestDecodeCacheDifferentialSmoke(t *testing.T) {
-	exec := func(disable bool) (Stats, [isa.NumRegs]uint64) {
+	exec := func(ref bool) (Stats, [isa.NumRegs]uint64) {
 		c := newTestCPU(t)
-		c.NoDecodeCache = disable
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 6, Rb: 6, Imm: 5})
 		prog := []isa.Inst{
 			{Op: isa.ADDI, Ra: 4, Rb: 0, Imm: 1},  // i = 1
@@ -223,10 +224,10 @@ func TestDecodeCacheDifferentialSmoke(t *testing.T) {
 	sOn, xOn := exec(false)
 	sOff, xOff := exec(true)
 	if sOn != sOff {
-		t.Fatalf("stats diverged:\n on: %+v\noff: %+v", sOn, sOff)
+		t.Fatalf("stats diverged:\n   engine: %+v\nReference: %+v", sOn, sOff)
 	}
 	if xOn != xOff {
-		t.Fatalf("registers diverged:\n on: %v\noff: %v", xOn, xOff)
+		t.Fatalf("registers diverged:\n   engine: %v\nReference: %v", xOn, xOff)
 	}
 }
 

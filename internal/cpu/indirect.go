@@ -6,13 +6,13 @@ import (
 	"cheriabi/internal/vm"
 )
 
-// Indirect-transfer prediction: the last uncovered transfer kind after
-// superblock chaining (threaded.go). Under CheriABI every inter-function
-// transfer is a CJR or CJALR through a code capability, and PR 8's
-// chaining deliberately exits the threaded engine on exactly those
-// instructions, so the hottest control-flow edge in capability code —
-// call/return — still paid a full latch rebuild through Step (capability
-// re-proof plus a translate(ProtExec) walk) per transfer.
+// Indirect-transfer prediction. Under CheriABI every inter-function
+// transfer is a CJR or CJALR through a code capability. Without
+// prediction the threaded engine (threaded.go) must exit on exactly those
+// instructions, because they replace PCC, so the hottest control-flow
+// edge in capability code — call/return — would pay a full latch rebuild
+// through Step (capability re-proof plus a translate(ProtExec) walk) per
+// transfer.
 //
 // The indirect-target cache removes that exit. Each entry records a fully
 // validated transfer:
@@ -28,10 +28,10 @@ import (
 //   - the decoded target page (page, vaPage, paPage) and the generations
 //     the translation proof was taken at (as, asGen, plus page.gen checked
 //     against mem.PageGen per traversal) — exactly the revalidation
-//     contract superblock chain links use: AS identity, AS.Gen, and target
+//     contract of the engine's latch: AS identity, AS.Gen, and target
 //     PageGen compared on EVERY traversal, so mprotect, munmap, fork,
 //     COW, swap, and self-modifying code invalidate cached transfers the
-//     same way they invalidate chain links.
+//     same way they invalidate the latch.
 //
 // A traversal whose generation compares fail falls through to the miss
 // path, which re-proves the capability and the translation (severing the

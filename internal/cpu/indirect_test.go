@@ -46,8 +46,8 @@ func callTarget(c *CPU) {
 
 // TestIndirectCacheServesCallReturnLoop is the positive control: a
 // call/return loop must be served by the indirect-transfer cache (and the
-// return stack) after the first round trip, and the ablation knob must
-// take the slow path with bit-identical architecture.
+// return stack) after the first round trip, and the Reference machine
+// must retire it with bit-identical architecture.
 func TestIndirectCacheServesCallReturnLoop(t *testing.T) {
 	const iters = 20
 	c := newTestCPU(t)
@@ -67,15 +67,15 @@ func TestIndirectCacheServesCallReturnLoop(t *testing.T) {
 	}
 
 	c2 := newTestCPU(t)
-	c2.NoIndirectCache = true
+	c2.Reference = true
 	callTarget(c2)
 	load(t, c2, callLoop(iters, 5))
 	run(t, c2)
 	if c2.DecodeStats.IndirectHits != 0 || c2.DecodeStats.IndirectMisses != 0 {
-		t.Fatalf("indirect cache ran while disabled: %+v", c2.DecodeStats)
+		t.Fatalf("indirect cache ran on the Reference machine: %+v", c2.DecodeStats)
 	}
-	if c.X != c2.X || c.Stats != c2.Stats {
-		t.Fatalf("indirect cache on/off diverged:\non  %+v\noff %+v", c.Stats, c2.Stats)
+	if c.X != c2.X || c.C != c2.C || c.Stats != c2.Stats {
+		t.Fatalf("engine/Reference diverged:\nengine    %+v\nReference %+v", c.Stats, c2.Stats)
 	}
 }
 

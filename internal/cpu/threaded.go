@@ -50,55 +50,49 @@ func init() {
 	}
 }
 
-// Block-threaded execution engine: phase 2 of the simulator fast path,
-// extended into superblocks (phase 3).
+// Block-threaded execution engine.
 //
-// With the decoded-instruction cache (decode.go), every Step still pays a
-// full latch validation — an address-space compare, two generation
-// compares, and a bit-for-bit PCC compare — plus the Step/fetchInst call
-// overhead, per instruction. runBlock hoists that validation out of the
-// loop: it proves the latch once, then executes decoded instructions
-// directly from blocks, re-checking per instruction only what an
-// instruction can actually change:
+// Step's checked fetch pays, per instruction, a PCC dereference check, a
+// translation, and the Step call overhead. runBlock hoists that proof out
+// of the loop: it validates the latch Step's fetch armed (decode.go) once,
+// then executes decoded instructions directly from the page's block,
+// re-checking per instruction only what an instruction can actually
+// change:
 //
 //   - PC instruction-aligned, maintained by induction (every inline PC
 //     advance is a multiple of InstSize; transfer targets and exec-set
 //     PCs are checked where they are produced);
 //   - PC in PCC bounds, as one subtract-and-compare against a
-//     precomputed fetch window (fetchWindow above). The window is fixed
+//     precomputed fetch window (fetchWindow below). The window is fixed
 //     until PCC is replaced — which only CJR/CJALR do, and the indirect
 //     path recomputes it after every predicted transfer. An
-//     out-of-bounds PC exits to the Step slow path, which raises the
-//     identical capability fault;
+//     out-of-bounds PC exits to Step, which raises the identical
+//     capability fault;
+//   - PC still inside the latched page. Leaving it — fallthrough or a
+//     direct branch — exits to Step, whose checked fetch proves the next
+//     page and re-arms the latch;
 //   - AddressSpace.Gen and the executing page's mem.PageGen unchanged.
 //     Only a memory-accessing instruction can change either (a store
 //     mutates page bytes; a translation resolves soft faults), so the
 //     probe runs exactly after loads, stores, and capability loads/stores
 //     — after anything else the generations provably cannot have moved.
 //
-// Superblock chaining: when PC leaves the current page through a direct
-// branch, an in-PCC indirect jump (JR/JALR), or straight-line fallthrough,
-// the run no longer exits. Each decoded page carries a small direct-mapped
-// set of successor links (decode.go, chainLink); the transition
-// re-validates only what the page change can affect — target alignment,
-// PCC bounds for the new target, and the link's (AS, AS.Gen, target
-// PageGen) proof — then swaps the run's page state and continues. The
-// bounds check deliberately happens BEFORE any translation: Step's slow
-// path checks PCC first too, and translating first could resolve a soft
-// fault (COW copy, demand-zero) that the in-order machine would never
-// reach, skewing physical frames and cycle counts. A link that fails
-// validation is re-proved through the same translate walk Step would
-// perform (severed instead if that walk faults, leaving Step to raise the
-// identical fault), so SMC, mprotect, munmap, COW, and swap semantics are
-// exactly those of the unchained engine. CJR/CJALR still exit: they
-// replace PCC, and the full fetchInst latch rebuild re-proves the
-// tag/seal/permission checks a chain traversal never re-examines.
+// CJR/CJALR replace PCC; indirect-transfer prediction (indirect.go) keeps
+// the run going when the target's capability and translation proofs are
+// cached or can be re-proved in place.
 //
-// Exit conditions, exhaustively: trap (returned to the kernel), budget
-// exhausted, misaligned PC, PC out of PCC bounds, PCC replaced
-// (CJR/CJALR), AS.Gen or executing PageGen changed, chain target
-// unprovable (translation fault), or superblocks disabled and PC leaves
-// the page.
+// Exit conditions, exhaustively (after each, Step takes the next
+// instruction through its checked fetch, which raises any fault and
+// re-arms the latch):
+//
+//   - a trap, returned to the kernel once Stats are flushed;
+//   - the instruction budget is exhausted;
+//   - exec set a misaligned PC;
+//   - PC is outside PCC bounds;
+//   - PC left the latched page (fallthrough or a direct branch);
+//   - AS.Gen or the executing page's PageGen moved;
+//   - a CJR/CJALR whose target could not be proven inside the run: no
+//     budget left, a misaligned target, or a translation fault.
 //
 // Cycle-ledger batching: the per-instruction base charges (one retired
 // instruction, plus the I-cache fetch cost) accumulate in run-local
@@ -153,11 +147,11 @@ func fetchWindow(pcc cap.Capability) (lo, span uint64) {
 	return
 }
 
-// runBlock executes decoded instructions from the latched page — chaining
-// across pages — until an exit condition, retiring at most rem
-// instructions (0 = no limit). It returns the trap that ended the run, or
-// nil. If the latch does not validate, it returns immediately having
-// retired nothing, and the caller falls back to Step.
+// runBlock executes decoded instructions from the latched page until an
+// exit condition, retiring at most rem instructions (0 = no limit). It
+// returns the trap that ended the run, or nil. If the latch does not
+// validate, it returns immediately having retired nothing, and the caller
+// falls back to Step.
 func (c *CPU) runBlock(rem uint64) *Trap {
 	l := &c.latch
 	page := l.page
@@ -215,7 +209,6 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 		c.Stats.Stores += nStores
 		c.Stats.Branches += nBranches
 		c.Stats.Taken += nTaken
-		c.DecodeStats.Hits += nInst
 		c.DecodeStats.Threaded += nInst
 		c.DecodeStats.Blocks++
 	}
@@ -226,42 +219,12 @@ run:
 		}
 		off := pc - vaPage
 		if off >= vm.PageSize {
-			// PC left the page: chain to the successor block. PCC bounds
-			// come first (matching Step's check order — see the package
-			// comment); the link proof or a fresh translate walk covers the
-			// rest. Chaining retires nothing, so the next iteration either
-			// executes from the new page or exits.
-			if c.NoSuperblocks || pc%isa.InstSize != 0 ||
-				!c.PCC.InBounds(pc, isa.InstSize) {
-				break // Step raises any fault identically
-			}
-			tva := pc &^ uint64(pageOffMask)
-			lk := &page.links[(tva>>vm.PageShift)&(linkWays-1)]
-			if lk.page == nil || lk.as != c.AS || lk.asGen != c.AS.Gen ||
-				lk.vaPage != tva || c.Mem.PageGen(lk.paPage) != lk.page.gen {
-				pa, pf := c.translate(pc, vm.ProtExec)
-				if pf != nil {
-					lk.page = nil
-					c.DecodeStats.Severs++
-					break // Step repeats the walk and raises the fault
-				}
-				tpa := pa &^ uint64(pageOffMask)
-				// AS.Gen is re-read after the translate: resolving a soft
-				// fault bumps it, and the link must record the generation
-				// its proof holds at.
-				*lk = chainLink{page: c.pageFor(tpa), as: c.AS,
-					asGen: c.AS.Gen, vaPage: tva, paPage: tpa}
-			}
-			page, vaPage, paPage, asGen = lk.page, lk.vaPage, lk.paPage, lk.asGen
-			genPtr = c.Mem.PageGenPtr(paPage)
-			l.page, l.vaPage, l.paPage, l.asGen = page, vaPage, paPage, asGen
-			c.DecodeStats.Chains++
-			continue
+			break // PC left the page: Step proves the next one
 		}
 		// pc is instruction-aligned here by induction: the latch head check
 		// proves it at entry, every inline advance is a multiple of
 		// InstSize, transfer targets are checked where they are installed
-		// (chain and indirect paths), and an exec-set PC is re-checked at
+		// (indirect path), and an exec-set PC is re-checked at
 		// the exec call site below.
 		if pc-fetchLo >= fetchSpan {
 			break // Step's slow path raises the identical bounds fault
@@ -566,8 +529,8 @@ run:
 			pc += isa.InstSize
 			continue
 
-		// Indirect transfers: the one exit superblock chaining left
-		// behind. indirectTransfer (indirect.go) serves the transfer
+		// Indirect transfers: indirectTransfer (indirect.go) serves the
+		// transfer
 		// from the target cache or the return stack when its cached
 		// proof still stands, re-proves and fills on a miss, and
 		// reports whether the run can continue. The body lives out of
@@ -575,15 +538,6 @@ run:
 		// enough to wreck register allocation for the whole loop if
 		// inlined here.
 		case isa.CJR, isa.CJALR:
-			if c.NoIndirectCache {
-				c.PC = pc
-				if t := c.exec(in); t != nil {
-					flush()
-					return t
-				}
-				pc = c.PC
-				break run // PCC replaced; the Step latch rebuild re-proves it
-			}
 			rs := runState{pc: pc, page: page, vaPage: vaPage,
 				paPage: paPage, asGen: asGen}
 			inRun, err := c.indirectTransfer(in, &rs, nInst < limit)

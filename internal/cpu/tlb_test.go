@@ -190,9 +190,9 @@ func TestMicroTLBSwap(t *testing.T) {
 // later instruction of the *same page* must be observed by the very next
 // fetch — the per-instruction generation re-check inside runBlock.
 func TestThreadedMidRunSMC(t *testing.T) {
-	exec := func(noThreaded bool) (uint64, Stats) {
+	exec := func(ref bool) (uint64, Stats) {
 		c := newTestCPU(t)
-		c.NoThreadedDispatch = noThreaded
+		c.Reference = ref
 		patched := isa.MustEncode(isa.Inst{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 42})
 		prog := storeWordInsts(patched, codeVA+6*isa.InstSize)
 		prog = append(prog,
@@ -210,7 +210,7 @@ func TestThreadedMidRunSMC(t *testing.T) {
 		t.Fatalf("threaded run executed stale instruction after mid-run patch: r2 = %d, want 42", gotOn)
 	}
 	if gotOff != gotOn || statsOn != statsOff {
-		t.Fatalf("threaded on/off diverged: on r2=%d %+v, off r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
+		t.Fatalf("engine/Reference diverged: engine r2=%d %+v, Reference r2=%d %+v", gotOn, statsOn, gotOff, statsOff)
 	}
 }
 
@@ -218,11 +218,11 @@ func TestThreadedMidRunSMC(t *testing.T) {
 // run must observe fully-flushed Stats — the kernel charges costs and
 // reads the cycle clock at trap time, so a deferred ledger would skew
 // simulated time. Compare the exact Stats at every trap against the
-// unthreaded interpreter.
+// Reference machine.
 func TestThreadedLedgerFlushOnTrap(t *testing.T) {
-	exec := func(noThreaded bool) []Stats {
+	exec := func(ref bool) []Stats {
 		c := newTestCPU(t)
-		c.NoThreadedDispatch = noThreaded
+		c.Reference = ref
 		prog := []isa.Inst{
 			{Op: isa.ADDI, Ra: 2, Rb: 0, Imm: 1},
 			{Op: isa.ADDI, Ra: 3, Rb: 0, Imm: 2},
@@ -256,7 +256,7 @@ func TestThreadedLedgerFlushOnTrap(t *testing.T) {
 	}
 	for i := range on {
 		if on[i] != off[i] {
-			t.Fatalf("Stats at trap %d diverged:\n threaded: %+v\nunthreaded: %+v", i, on[i], off[i])
+			t.Fatalf("Stats at trap %d diverged:\n   engine: %+v\nReference: %+v", i, on[i], off[i])
 		}
 	}
 }
@@ -272,9 +272,9 @@ func TestThreadedBudgetBoundary(t *testing.T) {
 	prog = append(prog, isa.Inst{Op: isa.BREAK})
 	for max := uint64(1); max <= 8; max++ {
 		var got [2]Stats
-		for mode, noThreaded := range []bool{false, true} {
+		for mode, ref := range []bool{false, true} {
 			c := newTestCPU(t)
-			c.NoThreadedDispatch = noThreaded
+			c.Reference = ref
 			load(t, c, prog)
 			// Warm the decode latch so the threaded engine engages, then
 			// reset the counters for a clean budget window.
@@ -287,12 +287,12 @@ func TestThreadedBudgetBoundary(t *testing.T) {
 				t.Fatalf("trapped inside budget: %v", tr)
 			}
 			if c.Stats.Instructions != max {
-				t.Fatalf("noThreaded=%v: retired %d instructions, budget %d", noThreaded, c.Stats.Instructions, max)
+				t.Fatalf("Reference=%v: retired %d instructions, budget %d", ref, c.Stats.Instructions, max)
 			}
 			got[mode] = c.Stats
 		}
 		if got[0] != got[1] {
-			t.Fatalf("max=%d: budgeted Stats diverged:\n threaded: %+v\nunthreaded: %+v", max, got[0], got[1])
+			t.Fatalf("max=%d: budgeted Stats diverged:\n   engine: %+v\nReference: %+v", max, got[0], got[1])
 		}
 	}
 }

@@ -35,6 +35,17 @@ func (a ABI) String() string {
 	return "mips64"
 }
 
+// ParseABI returns the ABI whose String is name ("mips64" or
+// "cheriabi"); any other name is an error.
+func ParseABI(name string) (ABI, error) {
+	for _, a := range []ABI{ABILegacy, ABICheri} {
+		if name == a.String() {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown ABI %q (want mips64 or cheriabi)", name)
+}
+
 // PtrSize returns the in-memory pointer size for the ABI.
 func (a ABI) PtrSize(capBytes uint64) uint64 {
 	if a == ABICheri {

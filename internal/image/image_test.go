@@ -114,3 +114,24 @@ func TestEmptyImageLayout(t *testing.T) {
 		t.Fatal("empty image must still occupy a page")
 	}
 }
+
+func TestParseABI(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want ABI
+		ok   bool
+	}{
+		{"mips64", ABILegacy, true},
+		{"cheriabi", ABICheri, true},
+		{"", 0, false},
+		{"bogus", 0, false},
+		{"CheriABI", 0, false},
+		{"mips", 0, false},
+		{" cheriabi", 0, false},
+	} {
+		got, err := ParseABI(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseABI(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -46,24 +46,11 @@ type Config struct {
 	Console io.Writer
 	// Tracer observes user-code capability derivations (Figure 5).
 	Tracer cpu.CapTracer
-	// DisableDecodeCache turns off the CPU's decoded-instruction cache
-	// (ablation / differential-testing knob; no observable effect).
-	DisableDecodeCache bool
-	// DisableThreadedDispatch turns off the CPU's block-threaded execution
-	// engine (ablation / differential-testing knob; no observable effect).
-	DisableThreadedDispatch bool
-	// DisableSuperblocks turns off superblock chaining in the CPU's
-	// block-threaded engine (ablation / differential-testing knob; no
+	// Reference boots the reference machine: the CPU's uncached Step
+	// interpreter and the uaccess subsystem's byte-at-a-time copies, with
+	// every simulator fast path off (differential-testing switch; no
 	// observable effect).
-	DisableSuperblocks bool
-	// DisableIndirectCache turns off the indirect-transfer target cache
-	// and return-stack latch in the CPU's block-threaded engine (ablation
-	// / differential-testing knob; no observable effect).
-	DisableIndirectCache bool
-	// DisableBulkFastPath forces the uaccess subsystem's byte-at-a-time
-	// slow path for kernel/runtime bulk copies (ablation /
-	// differential-testing knob; no observable effect).
-	DisableBulkFastPath bool
+	Reference bool
 	// OnTrap observes every trap in program order (differential testing).
 	OnTrap func(*cpu.Trap)
 }
@@ -177,12 +164,9 @@ func NewMachine(cfg Config) *Machine {
 	}
 	m.CPU = cpu.New(m.Mem, m.Hier, m.Fmt)
 	m.CPU.Tracer = cfg.Tracer
-	m.CPU.NoDecodeCache = cfg.DisableDecodeCache
-	m.CPU.NoThreadedDispatch = cfg.DisableThreadedDispatch
-	m.CPU.NoSuperblocks = cfg.DisableSuperblocks
-	m.CPU.NoIndirectCache = cfg.DisableIndirectCache
+	m.CPU.Reference = cfg.Reference
 	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.DisableBulkFastPath}
+	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.Reference}
 
 	k := &Kernel{
 		M:            m,

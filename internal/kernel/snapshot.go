@@ -38,7 +38,7 @@ import (
 //
 // Per-boot state that NewMachine derives from its Config — the layout
 // perturbation (Seed), the /dev/urandom stream, the console, tracers, and
-// the simulator ablation knobs — is re-derived by Boot from the Config it
+// the Reference switch — is re-derived by Boot from the Config it
 // is given, by exactly NewMachine's rules. Snapshot a Seed-0 boot and
 // Boot(cfg) is state-identical to NewMachine(cfg): everything boot does
 // besides the seed perturbation is host-side table construction that
@@ -123,8 +123,8 @@ func (m *Machine) Snapshot() (*MachineSnapshot, error) {
 
 // Boot stamps a new machine from the snapshot. cfg.MemBytes and
 // cfg.Format are fixed by the snapshot and ignored; every other Config
-// field — the seed, the urandom stream, console, tracers, the ablation
-// knobs, and the trap observer — applies to the clone exactly as it would
+// field — the seed, the urandom stream, console, tracers, the Reference
+// switch, and the trap observer — applies to the clone exactly as it would
 // to NewMachine, including the seed-dependent boot-time frame
 // perturbation. The snapshot is read-only here: Boot may be called
 // concurrently from any number of goroutines.
@@ -145,12 +145,9 @@ func (s *MachineSnapshot) Boot(cfg Config) *Machine {
 	// stay bit-identical to the machine it was taken from.
 	m.CPU.Stats.Cycles = s.cycles
 	m.CPU.Tracer = cfg.Tracer
-	m.CPU.NoDecodeCache = cfg.DisableDecodeCache
-	m.CPU.NoThreadedDispatch = cfg.DisableThreadedDispatch
-	m.CPU.NoSuperblocks = cfg.DisableSuperblocks
-	m.CPU.NoIndirectCache = cfg.DisableIndirectCache
+	m.CPU.Reference = cfg.Reference
 	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.DisableBulkFastPath}
+	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.Reference}
 
 	shm := make(map[int]*shmSeg, len(s.shmSegs))
 	for id, seg := range s.shmSegs {

@@ -43,8 +43,8 @@ var ErrTooLong = errors.New("uaccess: string exceeds limit")
 
 // Stats counts uaccess activity. Like the CPU's DecodeStats these are
 // simulator bookkeeping, not architectural state: the differential suite
-// uses them to prove the ablation knob is actually plumbed (a run with
-// the fast path disabled must never move a bulk run, and vice versa).
+// uses them to prove the byte-copy switch is actually plumbed (a run on
+// the Reference machine must never move a bulk run, and vice versa).
 type Stats struct {
 	FastRuns uint64 // page runs moved by bulk memmove
 	SlowRuns uint64 // page runs moved byte-at-a-time
@@ -58,9 +58,9 @@ type Space struct {
 	CPU *cpu.CPU
 
 	// DisableBulkFastPath forces byte-at-a-time movement inside each page
-	// run (ablation / differential-testing knob; no observable effect —
-	// checks, translations, cache charges, and resulting memory are
-	// identical either way).
+	// run. The kernel sets it on the Reference machine; it has no
+	// observable effect — checks, translations, cache charges, and
+	// resulting memory are identical either way.
 	DisableBulkFastPath bool
 
 	// Stats counts page runs per movement strategy (non-architectural).

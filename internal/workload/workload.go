@@ -82,34 +82,12 @@ type Measurement struct {
 	Output       string
 }
 
-// BuildOptions vary the toolchain — and, for ablations, the simulator —
-// per run.
+// BuildOptions vary the toolchain per run.
 type BuildOptions struct {
 	ABI             cheriabi.ABI
 	ASan            bool
 	NoBigCLC        bool
 	SubObjectBounds bool
-	// DisableDecodeCache turns off the simulator's decoded-instruction
-	// cache for this run (host-side ablation; guest-visible results are
-	// identical either way).
-	DisableDecodeCache bool
-	// DisableThreadedDispatch turns off the simulator's block-threaded
-	// execution engine for this run (host-side ablation; guest-visible
-	// results are identical either way).
-	DisableThreadedDispatch bool
-	// DisableSuperblocks turns off superblock chaining in the threaded
-	// engine for this run (host-side ablation; guest-visible results are
-	// identical either way).
-	DisableSuperblocks bool
-	// DisableIndirectCache turns off the indirect-transfer target cache
-	// and return-stack latch in the threaded engine for this run
-	// (host-side ablation; guest-visible results are identical either
-	// way).
-	DisableIndirectCache bool
-	// DisableBulkFastPath forces the uaccess subsystem's byte-at-a-time
-	// slow path for this run (host-side ablation; guest-visible results
-	// are identical either way).
-	DisableBulkFastPath bool
 }
 
 // Build compiles a workload (and its libraries) for the given options.
@@ -142,28 +120,15 @@ func Build(w Workload, opt BuildOptions) (exe *cheriabi.Image, libs []*cheriabi.
 const memBytes = 128 << 20
 
 // Run executes one workload on a cold-booted machine with the given layout
-// seed and returns its counters. This is the uncached, snapshot-free
-// reference path; sweeps go through an Engine.
+// seed and returns its counters. It compiles afresh and boots cold, with
+// no build cache or snapshot; sweeps go through an Engine.
 func Run(w Workload, opt BuildOptions, seed int64) (Measurement, error) {
 	exe, libs, err := Build(w, opt)
 	if err != nil {
 		return Measurement{}, err
 	}
-	sys := cheriabi.NewSystem(runConfig(opt, seed))
+	sys := cheriabi.NewSystem(cheriabi.Config{MemBytes: memBytes, Seed: seed})
 	return runOn(sys, w, exe, libs)
-}
-
-// runConfig maps per-run knobs onto the machine Config.
-func runConfig(opt BuildOptions, seed int64) cheriabi.Config {
-	return cheriabi.Config{
-		MemBytes:                memBytes,
-		Seed:                    seed,
-		DisableDecodeCache:      opt.DisableDecodeCache,
-		DisableThreadedDispatch: opt.DisableThreadedDispatch,
-		DisableSuperblocks:      opt.DisableSuperblocks,
-		DisableIndirectCache:    opt.DisableIndirectCache,
-		DisableBulkFastPath:     opt.DisableBulkFastPath,
-	}
 }
 
 // runOn installs and executes one built workload on sys.
@@ -196,14 +161,11 @@ func runOn(sys *cheriabi.System, w Workload, exe *cheriabi.Image, libs []*cheria
 	}, nil
 }
 
-// buildKey identifies one cached toolchain output: everything BuildOptions
-// says that affects compilation (the simulator ablation knobs do not).
+// buildKey identifies one cached toolchain output: the workload and
+// every BuildOptions field, all of which affect compilation.
 type buildKey struct {
-	name            string
-	abi             cheriabi.ABI
-	asan            bool
-	noBigCLC        bool
-	subObjectBounds bool
+	name string
+	opt  BuildOptions
 }
 
 type buildVal struct {
@@ -213,10 +175,9 @@ type buildVal struct {
 
 // Engine executes workloads for a sweep. With snapshots enabled it boots
 // one Seed-0 template machine, captures it, and stamps every run's machine
-// as a copy-on-write clone — the per-run seed, like the simulator ablation
-// knobs, is a clone-time Config field, so a single snapshot serves every
-// row and seed of a sweep. Builds are cached by their compile-relevant
-// options (the compiler is deterministic, and images are immutable once
+// as a copy-on-write clone — the per-run seed is a clone-time Config
+// field, so a single snapshot serves every row and seed of a sweep.
+// Builds are cached by workload and options (the compiler is deterministic, and images are immutable once
 // built). An Engine is safe for concurrent use by the driver's worker
 // pools; the shared snapshot is read-only after capture.
 type Engine struct {
@@ -237,13 +198,7 @@ func NewEngine(snapshot bool) *Engine {
 // build returns the cached toolchain output for (w, opt), compiling on
 // first use.
 func (e *Engine) build(w Workload, opt BuildOptions) (*cheriabi.Image, []*cheriabi.Image, error) {
-	key := buildKey{
-		name:            w.Name,
-		abi:             opt.ABI,
-		asan:            opt.ASan,
-		noBigCLC:        opt.NoBigCLC,
-		subObjectBounds: opt.SubObjectBounds,
-	}
+	key := buildKey{name: w.Name, opt: opt}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if v, ok := e.builds[key]; ok {
@@ -258,8 +213,8 @@ func (e *Engine) build(w Workload, opt BuildOptions) (*cheriabi.Image, []*cheria
 }
 
 // system provisions the machine for one run.
-func (e *Engine) system(opt BuildOptions, seed int64) (*cheriabi.System, error) {
-	cfg := runConfig(opt, seed)
+func (e *Engine) system(seed int64) (*cheriabi.System, error) {
+	cfg := cheriabi.Config{MemBytes: memBytes, Seed: seed}
 	if !e.snapshot {
 		return cheriabi.NewSystem(cfg), nil
 	}
@@ -285,7 +240,7 @@ func (e *Engine) Run(w Workload, opt BuildOptions, seed int64) (Measurement, err
 	if err != nil {
 		return Measurement{}, err
 	}
-	sys, err := e.system(opt, seed)
+	sys, err := e.system(seed)
 	if err != nil {
 		return Measurement{}, err
 	}
