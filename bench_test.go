@@ -217,8 +217,8 @@ func BenchmarkSubObjectAblation(b *testing.B) {
 
 // BenchmarkCopyInOut measures the uaccess kernel-boundary copy engine:
 // copyin+copyout of a 64-KiB buffer through a user capability, with the
-// page-run bulk fast path on (bulk) and off (bytecopy — the byte-loop
-// baseline). Guest-visible results are bit-identical (the differential
+// page-run bulk fast path on (bulk) and off (bytecopy — the byte loop of
+// a Reference CPU). Guest-visible results are bit-identical (the differential
 // matrix and TestFastSlowEquivalence enforce it); only host throughput
 // changes. The fast path must hold a ≥3× advantage.
 func BenchmarkCopyInOut(b *testing.B) {
@@ -235,12 +235,13 @@ func BenchmarkCopyInOut(b *testing.B) {
 			m := mem.New(16<<20, 16)
 			sys := vm.NewSystem(m, 1<<20)
 			c := cpu.New(m, cache.DefaultHierarchy(), cap.Format128)
+			c.Reference = mode.slow
 			c.AS = sys.NewAddressSpace()
 			const va = 0x40000
 			if err := c.AS.Map(va, pages*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 				b.Fatal(err)
 			}
-			u := &uaccess.Space{CPU: c, DisableBulkFastPath: mode.slow}
+			u := &uaccess.Space{CPU: c}
 			auth := cap.Root(va, pages*vm.PageSize, cap.PermData)
 			buf := make([]byte, copyBytes)
 			for i := range buf {

@@ -27,6 +27,9 @@ func main() {
 	flag.Parse()
 
 	abi, err := image.ParseABI(*abiFlag)
+	if err == nil {
+		err = checkFleet(*clients, *conns, *requests)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cheri-load:", err)
 		os.Exit(2)
@@ -62,4 +65,18 @@ func main() {
 	for _, line := range res.Checksums {
 		fmt.Println(" ", line)
 	}
+}
+
+// checkFleet rejects a non-positive fleet dimension. LoadGenSpec reads
+// zero as "use the default", which a command line must not do silently.
+func checkFleet(clients, conns, requests int) error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"clients", clients}, {"conns", conns}, {"requests", requests}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be a positive integer, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }

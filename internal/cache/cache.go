@@ -11,7 +11,10 @@
 // footprint, exactly as in the paper.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -40,97 +43,64 @@ type line struct {
 }
 
 // Cache is one set-associative, write-back, write-allocate cache level
-// with LRU replacement.
+// with LRU replacement. Line size and set count are powers of two (as in
+// all modelled hardware), so addressing is shift and mask.
 type Cache struct {
 	cfg   Config
 	sets  [][]line
-	nsets uint64
 	clock uint64
 	stats Stats
 
-	// Last-hit latches: consecutive accesses to the same line (the common
-	// case for instruction fetch) skip the set scan, and a second entry
-	// catches the two-line ping-pong that call/return pairs and short
-	// loops straddling a line boundary produce (each access alternates
-	// away from the single-entry latch and back). The latches hold
-	// pointers into sets, so an eviction that retags the line is detected
-	// by the tag compare; they never change hit/miss outcomes, only the
-	// cost of computing them.
-	lastAddr  uint64
-	last      *line
-	lastAddr2 uint64
-	last2     *line
+	lineShift uint
+	lineMask  uint64
+	setMask   uint64
 
-	// Pending same-line hit repeats, deferred onto the front latch: a hit
-	// on last only increments pendN (recording whether any was a write)
+	// Last-hit latch: the most recently accessed line. Consecutive
+	// accesses to one line (the common case for instruction fetch and
+	// stack traffic) skip the set scan. Every fill re-points the latch at
+	// the line it wrote and Flush clears it, so a non-nil latch always
+	// holds a valid line and the tag compare alone proves a hit; the
+	// latch never changes hit/miss outcomes, only the cost of computing
+	// them.
+	last *line
+
+	// Pending same-line hit repeats, deferred onto the latch: a hit on
+	// last only increments pendN (recording whether any was a write)
 	// instead of ticking the clock, the access counter, and the LRU
 	// stamp. flushPend applies all of them at once before anything can
 	// observe cache state — any access to another line, a set scan, an
 	// eviction, a stats read, or a flush — leaving every observable
 	// bit-identical to immediate application, because the intermediate
 	// clock values and LRU stamps of a run of same-line hits are never
-	// read (a miss, the only LRU reader, flushes first). This generalizes
-	// the instruction-fetch batching contract (FetchRepeats) to every
-	// level and every access kind.
+	// read (a miss, the only LRU reader, flushes first).
 	pendN     uint64
 	pendDirty bool
-
-	// When the geometry is a power of two (as all modelled hardware is),
-	// pow2 selects shift/mask addressing in place of division and modulo.
-	pow2      bool
-	lineShift uint
-	lineMask  uint64
-	setMask   uint64
 }
 
-// New builds a cache from cfg; Size must be divisible by LineSize*Ways.
+func isPowerOfTwo(n uint64) bool { return n != 0 && n&(n-1) == 0 }
+
+// New builds a cache from cfg. Size must be divisible by LineSize*Ways,
+// and LineSize and the resulting set count must be powers of two.
 func New(cfg Config) *Cache {
 	nsets := cfg.Size / (cfg.LineSize * cfg.Ways)
-	if nsets == 0 || cfg.Size%(cfg.LineSize*cfg.Ways) != 0 {
+	if cfg.Size%(cfg.LineSize*cfg.Ways) != 0 || !isPowerOfTwo(cfg.LineSize) || !isPowerOfTwo(nsets) {
 		panic(fmt.Sprintf("cache %s: bad geometry %+v", cfg.Name, cfg))
 	}
 	sets := make([][]line, nsets)
 	for i := range sets {
 		sets[i] = make([]line, cfg.Ways)
 	}
-	c := &Cache{cfg: cfg, sets: sets, nsets: nsets}
-	if cfg.LineSize&(cfg.LineSize-1) == 0 && nsets&(nsets-1) == 0 {
-		c.pow2 = true
-		for s := cfg.LineSize; s > 1; s >>= 1 {
-			c.lineShift++
-		}
-		c.lineMask = cfg.LineSize - 1
-		c.setMask = nsets - 1
+	return &Cache{
+		cfg:       cfg,
+		sets:      sets,
+		lineShift: uint(bits.TrailingZeros64(cfg.LineSize)),
+		lineMask:  cfg.LineSize - 1,
+		setMask:   nsets - 1,
 	}
-	return c
 }
 
 // lineAddr maps a physical address to its line index.
-func (c *Cache) lineAddr(pa uint64) uint64 {
-	if c.pow2 {
-		return pa >> c.lineShift
-	}
-	return pa / c.cfg.LineSize
-}
-
-// lineOff returns pa's offset within its line. Like lineAddr, the
-// power-of-two geometry (all modelled hardware) takes the mask path: a
-// variable-divisor modulo is a hardware divide, and this runs on every
-// fetch and data access.
-func (c *Cache) lineOff(pa uint64) uint64 {
-	if c.pow2 {
-		return pa & c.lineMask
-	}
-	return pa % c.cfg.LineSize
-}
-
-// set returns the set that lineAddr maps to.
-func (c *Cache) set(lineAddr uint64) []line {
-	if c.pow2 {
-		return c.sets[lineAddr&c.setMask]
-	}
-	return c.sets[lineAddr%c.nsets]
-}
+func (c *Cache) lineAddr(pa uint64) uint64 { return pa >> c.lineShift }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -148,9 +118,21 @@ func (c *Cache) ResetStats() {
 	c.stats = Stats{}
 }
 
-// flushPend applies the deferred same-line hits accumulated on the front
-// latch (see the pendN field comment). Every path that can observe cache
-// state calls it first.
+// latchHit joins n accesses to line la onto the deferred batch when la is
+// the latched line and reports true; otherwise it changes nothing and
+// reports false. This is the only latch probe.
+func (c *Cache) latchHit(la, n uint64, write bool) bool {
+	if l := c.last; l == nil || l.tag != la {
+		return false
+	}
+	c.pendN += n
+	c.pendDirty = c.pendDirty || write
+	return true
+}
+
+// flushPend applies the deferred same-line hits accumulated on the latch
+// (see the pendN field comment). Every path that can observe cache state
+// calls it first.
 func (c *Cache) flushPend() {
 	if c.pendN != 0 {
 		c.clock += c.pendN
@@ -164,48 +146,27 @@ func (c *Cache) flushPend() {
 }
 
 // access looks up the line containing pa; on miss it allocates, evicting
-// LRU. Returns hit and whether a dirty line was written back.
+// LRU, and latches the filled line. Returns hit and whether a dirty line
+// was written back.
 func (c *Cache) access(pa uint64, write bool) (hit, writeback bool) {
-	lineAddr := c.lineAddr(pa)
-	if l := c.last; l != nil && c.lastAddr == lineAddr && l.valid && l.tag == lineAddr {
-		c.pendN++
-		c.pendDirty = c.pendDirty || write
+	la := c.lineAddr(pa)
+	if c.latchHit(la, 1, write) {
 		return true, false
 	}
-	c.flushPend()
+	c.flushPend() // the scan and the eviction below read LRU stamps
 	c.clock++
 	c.stats.Accesses++
-	if l := c.last2; l != nil && c.lastAddr2 == lineAddr && l.valid && l.tag == lineAddr {
-		l.lru = c.clock
-		if write {
-			l.dirty = true
-		}
-		// Promote to the front latch so a following same-line access hits
-		// on the first compare; the displaced line stays in the second.
-		c.lastAddr2, c.last2 = c.lastAddr, c.last
-		c.lastAddr, c.last = lineAddr, l
-		return true, false
-	}
-	set := c.set(lineAddr)
+	set := c.sets[la&c.setMask]
 	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
+		if set[i].valid && set[i].tag == la {
 			set[i].lru = c.clock
 			if write {
 				set[i].dirty = true
 			}
-			c.lastAddr2, c.last2 = c.lastAddr, c.last
-			c.lastAddr, c.last = lineAddr, &set[i]
+			c.last = &set[i]
 			return true, false
 		}
 	}
-	return false, c.fillLine(set, lineAddr, write)
-}
-
-// fillLine allocates lineAddr in set after a miss, evicting LRU, counting
-// the miss, and updating the last-hit latch. Returns whether a dirty
-// victim was written back.
-func (c *Cache) fillLine(set []line, lineAddr uint64, write bool) (writeback bool) {
-	c.flushPend() // eviction reads LRU stamps; defensive on pre-flushed paths
 	c.stats.Misses++
 	victim := 0
 	for i := range set {
@@ -221,10 +182,9 @@ func (c *Cache) fillLine(set []line, lineAddr uint64, write bool) (writeback boo
 		writeback = true
 		c.stats.Writebacks++
 	}
-	set[victim] = line{valid: true, dirty: write, tag: lineAddr, lru: c.clock}
-	c.lastAddr2, c.last2 = c.lastAddr, c.last
-	c.lastAddr, c.last = lineAddr, &set[victim]
-	return writeback
+	set[victim] = line{valid: true, dirty: write, tag: la, lru: c.clock}
+	c.last = &set[victim]
+	return false, writeback
 }
 
 // Flush invalidates all lines (e.g. between benchmark repetitions).
@@ -235,7 +195,7 @@ func (c *Cache) Flush() {
 			set[i] = line{}
 		}
 	}
-	c.last, c.last2 = nil, nil
+	c.last = nil
 }
 
 // Hierarchy is the full memory system: split L1s over a shared L2 over
@@ -260,172 +220,78 @@ func DefaultHierarchy() *Hierarchy {
 // DRAMAccesses returns the number of line fills that reached DRAM.
 func (h *Hierarchy) DRAMAccesses() uint64 { return h.dramAccesses }
 
-func (h *Hierarchy) lineSpan(l1 *Cache, pa, size uint64) (first, last uint64) {
+// walk charges an access of size bytes at pa through l1, one line access
+// per line the bytes span, in address order.
+func (h *Hierarchy) walk(l1 *Cache, pa, size uint64, write bool) uint64 {
 	if size == 0 {
 		size = 1
 	}
-	return l1.lineAddr(pa), l1.lineAddr(pa + size - 1)
+	var cycles uint64
+	for la, last := l1.lineAddr(pa), l1.lineAddr(pa+size-1); la <= last; la++ {
+		cycles += h.accessLevel(l1, la, write)
+	}
+	return cycles
 }
 
 // accessLevel walks one line access through L1 -> L2 -> DRAM.
-func (h *Hierarchy) accessLevel(l1 *Cache, lineAddr uint64, write bool) uint64 {
-	pa := lineAddr * l1.cfg.LineSize
-	cycles := l1.cfg.HitLatency
+func (h *Hierarchy) accessLevel(l1 *Cache, la uint64, write bool) uint64 {
+	pa := la << l1.lineShift
 	hit, wb := l1.access(pa, write)
 	if hit {
-		return cycles
+		return l1.cfg.HitLatency
 	}
-	return cycles + h.missWalk(pa, wb)
-}
-
-// missWalk charges the L2/DRAM walk completing an L1 line fill at pa;
-// l1wb reports whether the L1 eviction wrote back a dirty line. Returns
-// the cycles beyond the L1 hit latency.
-func (h *Hierarchy) missWalk(pa uint64, l1wb bool) uint64 {
-	cycles := h.L2.cfg.HitLatency
+	cycles := l1.cfg.HitLatency + h.L2.cfg.HitLatency
 	hit2, wb2 := h.L2.access(pa, false)
 	if !hit2 {
 		cycles += h.DRAMLatency
 		h.dramAccesses++
 	}
 	// Dirty evictions drain through a write buffer; charge a small constant.
-	if l1wb || wb2 {
+	if wb || wb2 {
 		cycles += 2
 	}
 	return cycles
 }
 
 // Fetch models an instruction fetch of size bytes at pa.
-func (h *Hierarchy) Fetch(pa, size uint64) uint64 {
-	// Aligned instruction fetches never span lines; skip the span loop.
-	if l1 := h.L1I; l1.lineOff(pa)+size <= l1.cfg.LineSize {
-		return h.accessLevel(l1, l1.lineAddr(pa), false)
-	}
-	first, last := h.lineSpan(h.L1I, pa, size)
-	var cycles uint64
-	for l := first; l <= last; l++ {
-		cycles += h.accessLevel(h.L1I, l, false)
-	}
-	return cycles
-}
+func (h *Hierarchy) Fetch(pa, size uint64) uint64 { return h.walk(h.L1I, pa, size, false) }
 
 // FetchLine returns the L1I line index containing pa, for callers that
 // detect same-line instruction fetches and batch them with FetchRepeats.
 func (h *Hierarchy) FetchLine(pa uint64) uint64 { return h.L1I.lineAddr(pa) }
 
-// FetchRepeats applies n instruction fetches that are all guaranteed to
-// hit the resident L1I line lineAddr: the caller has already fetched that
-// line (filling it if needed) and has issued no other L1I access since,
-// and nothing but instruction fetches touches L1I state, so each access
-// would be a hit whose only effects are the clock tick, the access count,
-// and the LRU stamp. Applying all n at once leaves state bit-identical to
-// n individual Fetch calls, because the intermediate LRU stamps are never
-// observed — no miss (the only reader of LRU ordering) can occur in
-// between. Returns the cycle charge, n times the L1I hit latency.
+// FetchRepeats applies n instruction fetches of the L1I line lineAddr,
+// which must be the line the most recent L1I access ended on: the caller
+// has just fetched it (filling it if needed) and has issued no other L1I
+// access or Flush since. Nothing but instruction fetches touches L1I
+// state, so each fetch would be a latch hit whose only effects are the
+// clock tick, the access count, and the LRU stamp; the n of them join the
+// deferred batch, which applies them with exactly those effects. Returns
+// the cycle charge, n times the L1I hit latency.
 func (h *Hierarchy) FetchRepeats(lineAddr, n uint64) uint64 {
 	c := h.L1I
-	// The caller guarantees lineAddr is the most recently accessed,
-	// resident line, so these n hits simply join the deferred batch on
-	// the front latch (flushPend applies them with the same effects the
-	// eager implementation had).
-	if l := c.last; l != nil && c.lastAddr == lineAddr && l.valid && l.tag == lineAddr {
-		c.pendN += n
-		return n * c.cfg.HitLatency
+	if !c.latchHit(lineAddr, n, false) {
+		panic("cache: FetchRepeats on a line other than the last fetched")
 	}
-	c.flushPend()
-	set := c.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			c.lastAddr2, c.last2 = c.lastAddr, c.last
-			c.lastAddr, c.last = lineAddr, &set[i]
-			c.pendN += n
-			return n * c.cfg.HitLatency
-		}
-	}
-	panic("cache: FetchRepeats on a non-resident line")
+	return n * c.cfg.HitLatency
 }
 
-// DataHit attempts a data access as a front-latch hit alone: a
-// non-spanning access (power-of-two geometry) to the latched line joins
-// the deferred batch and returns its hit latency with ok true; anything
-// else returns ok false having changed nothing, and the caller issues
-// the access through Data. Split out of Data because this probe is small
-// enough to inline into the CPU's scalar access path, where the call
-// overhead is measurable per retired memory instruction.
+// DataHit attempts a data access as a latch hit alone: a non-spanning
+// access to the latched line joins the deferred batch and returns its hit
+// latency with ok true; anything else returns ok false having changed
+// nothing, and the caller issues the access through Data. It is the CPU's
+// probe on its scalar access path, small enough to inline there, where a
+// call per retired memory instruction is measurable.
 func (c *Cache) DataHit(pa, size uint64, write bool) (cycles uint64, ok bool) {
-	if !c.pow2 || (pa&c.lineMask)+size > c.cfg.LineSize {
+	if pa&c.lineMask+size > c.cfg.LineSize || !c.latchHit(pa>>c.lineShift, 1, write) {
 		return 0, false
 	}
-	la := pa >> c.lineShift
-	l := c.last
-	if l == nil || c.lastAddr != la || !l.valid || l.tag != la {
-		return 0, false
-	}
-	c.pendN++
-	c.pendDirty = c.pendDirty || write
 	return c.cfg.HitLatency, true
 }
 
-// Data models a data access of size bytes at pa.
-func (h *Hierarchy) Data(pa, size uint64, write bool) uint64 {
-	l1 := h.L1D
-	if l1.lineOff(pa)+size <= l1.cfg.LineSize {
-		// Non-spanning access with the last-hit latch checked inline: the
-		// hit joins the deferred batch exactly as in access().
-		la := l1.lineAddr(pa)
-		if l := l1.last; l != nil && l1.lastAddr == la && l.valid && l.tag == la {
-			l1.pendN++
-			l1.pendDirty = l1.pendDirty || write
-			return l1.cfg.HitLatency
-		}
-		return h.accessLevel(l1, la, write)
-	}
-	first, last := h.lineSpan(h.L1D, pa, size)
-	var cycles uint64
-	for l := first; l <= last; l++ {
-		cycles += h.accessLevel(h.L1D, l, write)
-	}
-	return cycles
-}
-
-// DataRun models a multi-line bulk data access of size bytes at pa as one
-// batched line walk. Per-line outcomes — hit/miss, LRU stamps, eviction
-// choices, writebacks, L2 traffic — are identical to issuing Data over the
-// same span, because each step performs the same state updates in the same
-// order; only the per-line dispatch overhead (call, latch probe, span
-// re-computation) is hoisted out of the loop. Bulk movers (the uaccess
-// page-run walker) use this; single accesses keep using Data.
-func (h *Hierarchy) DataRun(pa, size uint64, write bool) uint64 {
-	l1 := h.L1D
-	if size == 0 || l1.lineOff(pa)+size <= l1.cfg.LineSize {
-		return h.Data(pa, size, write)
-	}
-	first, last := h.lineSpan(l1, pa, size)
-	l1.flushPend() // the walk below reads and updates set state directly
-	cycles := (last - first + 1) * l1.cfg.HitLatency
-	l1.stats.Accesses += last - first + 1
-	for la := first; la <= last; la++ {
-		l1.clock++
-		set := l1.set(la)
-		hit := false
-		for i := range set {
-			if set[i].valid && set[i].tag == la {
-				set[i].lru = l1.clock
-				if write {
-					set[i].dirty = true
-				}
-				l1.lastAddr, l1.last = la, &set[i]
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			wb := l1.fillLine(set, la, write)
-			cycles += h.missWalk(la*l1.cfg.LineSize, wb)
-		}
-	}
-	return cycles
-}
+// Data models a data access of size bytes at pa. Bulk movers (the uaccess
+// page-run walker) pass whole runs; each spanned line is one access.
+func (h *Hierarchy) Data(pa, size uint64, write bool) uint64 { return h.walk(h.L1D, pa, size, write) }
 
 // Flush invalidates the whole hierarchy.
 func (h *Hierarchy) Flush() {

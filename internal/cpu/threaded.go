@@ -188,8 +188,7 @@ func (c *CPU) runBlock(rem uint64) *Trap {
 	// lineRepeats counts fetches from it not yet applied to the cache
 	// model. The span compare keeps the per-instruction check free of
 	// method calls; the line index is recomputed only at flush time.
-	lineSize := c.Hier.L1I.Config().LineSize
-	linePow2 := lineSize&(lineSize-1) == 0    // mask vs. modulo at line turnover
+	lineSize := c.Hier.L1I.Config().LineSize  // a power of two (cache.New)
 	lineBase, lineEnd := uint64(1), uint64(0) // empty span: no line fetched yet
 	var lineRepeats uint64
 	flushLine := func() {
@@ -238,11 +237,7 @@ run:
 		} else {
 			flushLine()
 			nCycles += c.Hier.Fetch(pa, isa.InstSize)
-			if linePow2 {
-				lineBase = pa &^ (lineSize - 1)
-			} else {
-				lineBase = pa - pa%lineSize // variable-divisor fallback
-			}
+			lineBase = pa &^ (lineSize - 1)
 			lineEnd = lineBase + lineSize
 		}
 		nInst++

@@ -166,7 +166,7 @@ func NewMachine(cfg Config) *Machine {
 	m.CPU.Tracer = cfg.Tracer
 	m.CPU.Reference = cfg.Reference
 	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.Reference}
+	m.UA = &uaccess.Space{CPU: m.CPU}
 
 	k := &Kernel{
 		M:            m,

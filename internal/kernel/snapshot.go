@@ -147,7 +147,7 @@ func (s *MachineSnapshot) Boot(cfg Config) *Machine {
 	m.CPU.Tracer = cfg.Tracer
 	m.CPU.Reference = cfg.Reference
 	m.CPU.OnTrap = cfg.OnTrap
-	m.UA = &uaccess.Space{CPU: m.CPU, DisableBulkFastPath: cfg.Reference}
+	m.UA = &uaccess.Space{CPU: m.CPU}
 
 	shm := make(map[int]*shmSeg, len(s.shmSegs))
 	for id, seg := range s.shmSegs {

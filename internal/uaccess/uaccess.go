@@ -12,18 +12,19 @@
 //     (tag, seal, permissions, bounds via cap.CheckDeref);
 //  2. walk the access in page runs, translating each page once through
 //     the CPU's micro-TLB and charging the cache model once per run
-//     (through cache.Hierarchy.DataRun, the batched multi-line walk);
+//     (one cache.Hierarchy.Data call, which walks every line the run
+//     spans);
 //  3. move whole runs with memmove-style bulk operations on tagged
-//     physical memory (the fast path), or byte-at-a-time (the slow
-//     path, selected by DisableBulkFastPath).
+//     physical memory (the fast path), or byte-at-a-time on the CPU's
+//     Reference machine (the slow path).
 //
 // The two paths are observation-equivalent by construction: they perform
 // identical capability checks, identical translations, identical cache
 // charges, and leave identical memory (including partial progress when a
 // page fault interrupts a copy — both paths stop at the same page-run
 // boundary). The top-level differential matrix runs every workload and
-// bodiag program under both settings and requires bit-identical Stats,
-// output, and trap sequences.
+// bodiag program on the engine and on the Reference machine and requires
+// bit-identical Stats, output, and trap sequences.
 package uaccess
 
 import (
@@ -55,13 +56,11 @@ type Stats struct {
 // machine: it holds no per-process state, because the authority for every
 // access is the capability presented with it.
 type Space struct {
-	CPU *cpu.CPU
-
-	// DisableBulkFastPath forces byte-at-a-time movement inside each page
-	// run. The kernel sets it on the Reference machine; it has no
-	// observable effect — checks, translations, cache charges, and
+	// CPU is the machine whose memory is accessed. On its Reference
+	// machine (CPU.Reference) each page run moves byte-at-a-time; that
+	// has no observable effect — checks, translations, cache charges, and
 	// resulting memory are identical either way.
-	DisableBulkFastPath bool
+	CPU *cpu.CPU
 
 	// Stats counts page runs per movement strategy (non-architectural).
 	Stats Stats
@@ -69,7 +68,7 @@ type Space struct {
 
 // countRun records which strategy moved a page run.
 func (u *Space) countRun() {
-	if u.DisableBulkFastPath {
+	if u.CPU.Reference {
 		u.Stats.SlowRuns++
 	} else {
 		u.Stats.FastRuns++
@@ -98,7 +97,7 @@ func (u *Space) forRuns(va, n uint64, access vm.Prot, write bool, fn func(r run)
 		if cnt > n-done {
 			cnt = n - done
 		}
-		c.Stats.Cycles += c.Hier.DataRun(pa, cnt, write)
+		c.Stats.Cycles += c.Hier.Data(pa, cnt, write)
 		u.countRun()
 		if err := fn(run{pa: pa, off: done, cnt: cnt}); err != nil {
 			return err
@@ -123,7 +122,7 @@ func (u *Space) Read(auth cap.Capability, va uint64, buf []byte) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtRead, false, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				buf[r.off+i] = byte(m.Load(r.pa+i, 1))
 			}
@@ -148,7 +147,7 @@ func (u *Space) Write(auth cap.Capability, va uint64, data []byte) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, uint64(data[r.off+i]))
 			}
@@ -172,7 +171,7 @@ func (u *Space) Zero(auth cap.Capability, va, n uint64) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, 0)
 			}
@@ -193,7 +192,7 @@ func (u *Space) Fill(auth cap.Capability, va uint64, v byte, n uint64) error {
 	}
 	m := u.CPU.Mem
 	return u.forRuns(va, n, vm.ProtWrite, true, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				m.Store(r.pa+i, 1, uint64(v))
 			}
@@ -238,7 +237,7 @@ func (u *Space) CString(auth cap.Capability, va uint64, max uint64) (string, err
 		}
 		u.countRun()
 		var idx int
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			idx = -1
 			for i := uint64(0); i < cnt; i++ {
 				page[i] = byte(m.Load(pa+i, 1))
@@ -252,10 +251,10 @@ func (u *Space) CString(auth cap.Capability, va uint64, max uint64) (string, err
 			idx = bytes.IndexByte(page[:cnt], 0)
 		}
 		if idx >= 0 {
-			c.Stats.Cycles += c.Hier.DataRun(pa, uint64(idx)+1, false)
+			c.Stats.Cycles += c.Hier.Data(pa, uint64(idx)+1, false)
 			return string(append(out, page[:idx]...)), nil
 		}
-		c.Stats.Cycles += c.Hier.DataRun(pa, cnt, false)
+		c.Stats.Cycles += c.Hier.Data(pa, cnt, false)
 		out = append(out, page[:cnt]...)
 		scanned += cnt
 	}
@@ -307,7 +306,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 	// and end granule-aligned (pages are granule multiples), so per-run
 	// tag extraction lines up.
 	err := u.forRuns(srcVA, n, vm.ProtRead, false, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for i := uint64(0); i < r.cnt; i++ {
 				buf[r.off+i] = byte(m.Load(r.pa+i, 1))
 			}
@@ -349,7 +348,7 @@ func (u *Space) Copy(dst cap.Capability, dstVA uint64, src cap.Capability, srcVA
 
 	// Store phase: destination page runs.
 	return u.forRuns(dstVA, n, vm.ProtWrite, true, func(r run) error {
-		if u.DisableBulkFastPath {
+		if u.CPU.Reference {
 			for o := r.off; o < r.off+r.cnt; {
 				if preserve && o < nAligned {
 					m.StoreCap(r.pa+(o-r.off), buf[o:o+g], tags[o/g])

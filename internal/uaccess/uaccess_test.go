@@ -14,17 +14,19 @@ import (
 const dataVA = 0x20000 // page-aligned test region base
 
 // newSpace boots a minimal machine: tagged memory, caches, a CPU with an
-// address space mapping pages pages at dataVA, and a Space over it.
+// address space mapping pages pages at dataVA, and a Space over it. slow
+// makes it a Reference CPU, which moves page runs byte-at-a-time.
 func newSpace(t *testing.T, pages int, slow bool) (*Space, *cpu.CPU) {
 	t.Helper()
 	m := mem.New(16<<20, 16)
 	sys := vm.NewSystem(m, 1<<20)
 	c := cpu.New(m, cache.DefaultHierarchy(), cap.Format128)
+	c.Reference = slow
 	c.AS = sys.NewAddressSpace()
 	if err := c.AS.Map(dataVA, uint64(pages)*vm.PageSize, vm.ProtRead|vm.ProtWrite, false); err != nil {
 		t.Fatal(err)
 	}
-	return &Space{CPU: c, DisableBulkFastPath: slow}, c
+	return &Space{CPU: c}, c
 }
 
 func dataCap(pages int) cap.Capability {
